@@ -1,5 +1,6 @@
 """Command-line front end: verbs, formats, config defaults, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,45 @@ def test_verify_inline_grid(capsys):
     code, out = run(capsys, "verify", "--suite", "orthonormality", "--grid", json.dumps(grid))
     assert code == 0
     assert "PASS" in out
+
+
+# `verify --suite all` on the SMALL grid of test_verify.py: the text output
+# verbatim and the sha256 of the JSON output, both recorded before the verify
+# loops were folded together.  A refactor must leave both byte-identical.
+SMALL_GRID = json.dumps(
+    {"n_range": [0, 1], "m_range": [0, 1], "max_weight": 3, "max_len": 3, "degree_cap": 3}
+)
+SMALL_TEXT = """\
+suite commutation: PASS (2058 instances, 0 failures)
+suite orthonormality: PASS (98 instances, 0 failures)
+suite bialternants: PASS (30 instances, 0 failures)
+suite branching_sp: PASS (41 instances, 0 failures)
+suite branching_o: PASS (41 instances, 0 failures)
+suite branching_odd_sp: PASS (70 instances, 0 failures)
+suite cauchy_sp: PASS (4 instances, 0 failures)
+suite cauchy_sp_odd: PASS (2 instances, 0 failures)
+suite cauchy_sp_n0: PASS (2 instances, 0 failures)
+suite cauchy_o: PASS (4 instances, 0 failures)
+  note: n=0 m=0: non-strict pair product (k<=l) matches
+  note: n=0 m=1: non-strict pair product (k<=l) matches
+  note: n=1 m=0: non-strict pair product (k<=l) matches
+  note: n=1 m=1: non-strict pair product (k<=l) matches
+suite transition_odd: PASS (27 instances, 0 failures)
+suite gt_sum: PASS (8 instances, 0 failures)
+suite fock_vs_determinant: PASS (136 instances, 0 failures)
+suite reductions: PASS (38 instances, 0 failures)
+suite newton: PASS (2 instances, 0 failures)
+"""
+SMALL_JSON_SHA256 = "8a24e47ffd508237d54d471f3c38fad2f192bacfcbfb7c63ead124e20df465fc"
+
+
+def test_verify_all_output_is_byte_stable(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--grid", SMALL_GRID)
+    assert code == 0
+    assert out == SMALL_TEXT
+    code, out = run(capsys, "verify", "--suite", "all", "--grid", SMALL_GRID, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SMALL_JSON_SHA256
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

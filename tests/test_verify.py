@@ -60,11 +60,31 @@ def test_run_suite_rejects_unknown_name():
         run_suite("no_such_suite", SMALL)
 
 
+# instance counts on SMALL; a refactor of a suite must keep its count
+SMALL_COUNTS = {
+    "commutation": 2058,
+    "orthonormality": 98,
+    "bialternants": 30,
+    "branching_sp": 41,
+    "branching_o": 41,
+    "branching_odd_sp": 70,
+    "cauchy_sp": 4,
+    "cauchy_sp_odd": 2,
+    "cauchy_sp_n0": 2,
+    "cauchy_o": 4,
+    "transition_odd": 27,
+    "gt_sum": 8,
+    "fock_vs_determinant": 136,
+    "reductions": 38,
+    "newton": 2,
+}
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_each_suite_passes_on_small_grid(name):
     rep = run_suite(name, SMALL)
     assert rep.passed, rep.failures[:3]
-    assert rep.instances_run > 0
+    assert rep.instances_run == SMALL_COUNTS[name]
     assert rep.check_name == name
 
 
