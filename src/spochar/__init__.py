@@ -20,7 +20,6 @@ from .characters import (
     schur,
     sp_bialternant,
     sp_odd_bialternant,
-    sp_odd_jt,
     sp_skew,
     sp_universal,
 )

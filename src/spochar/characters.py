@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import EMPTY, Partition, PartitionTooLong, contains
+from .partitions import EMPTY, Partition, PartitionTooLong
 from .ring import (
     ONE,
     ZERO,
@@ -144,22 +144,15 @@ def o_universal(lam: Partition, n: int, m: int) -> LaurentPoly:
     return _jt_det("o", lam.padded(n + m), (0,) * (n + m), 0, n, m).require_integer()
 
 
-def sp_universal_seq(seq: Sequence[int], n: int, m: int) -> LaurentPoly:
-    """Symplectic determinant over an arbitrary integer index sequence."""
+def universal_seq(family: str, seq: Sequence[int], n: int, m: int) -> LaurentPoly:
+    """Universal determinant over an arbitrary integer index sequence."""
+    if family not in ("sp", "o"):
+        raise ValueError("family must be 'sp' or 'o'")
     seq = tuple(seq)
     if len(seq) > n + m:
         raise PartitionTooLong(f"{seq} needs more than {n + m} rows")
     alpha = seq + (0,) * (n + m - len(seq))
-    return _jt_det("sp", alpha, (0,) * (n + m), 0, n, m)
-
-
-def o_universal_seq(seq: Sequence[int], n: int, m: int) -> LaurentPoly:
-    """Orthogonal determinant over an arbitrary integer index sequence."""
-    seq = tuple(seq)
-    if len(seq) > n + m:
-        raise PartitionTooLong(f"{seq} needs more than {n + m} rows")
-    alpha = seq + (0,) * (n + m - len(seq))
-    return _jt_det("o", alpha, (0,) * (n + m), 0, n, m)
+    return _jt_det(family, alpha, (0,) * (n + m), 0, n, m)
 
 
 def _skew_args(outer: Partition, inner: Partition, n: int, m: int):
@@ -213,18 +206,6 @@ def skew_det(family: str, outer: Partition, inner: Partition, n: int, m: int) ->
     if outer.length > dim:
         raise PartitionTooLong(f"{outer.parts} needs more than {dim} rows")
     return _jt_det(family, outer.padded(dim), inner.padded(dim), l, n, m)
-
-
-def sp_skew_seq(
-    alpha_seq: Sequence[int], inner: Partition, n: int, m: int
-) -> LaurentPoly:
-    """Skew symplectic determinant for an arbitrary outer index sequence."""
-    l = inner.declared_len
-    dim = l + n + m
-    alpha = tuple(alpha_seq)
-    if len(alpha) != dim:
-        raise ValueError(f"outer sequence must have {dim} entries")
-    return _jt_det("sp", alpha, inner.padded(dim), l, n, m)
 
 
 @lru_cache(maxsize=None)
@@ -322,11 +303,6 @@ def sp_odd_bialternant(lam: Partition, n: int) -> LaurentPoly:
     den.append([_xpow_diff(z, n - j + 2) for j in range(1, n + 2)])
     _witness(det_of(num), det_of(den), candidate, f"sp odd bialternant {lp} n={n}")
     return candidate
-
-
-def sp_odd_jt(lam: Partition, n: int) -> LaurentPoly:
-    """Odd symplectic character via the determinant engine (alias form)."""
-    return sp_universal(lam, n, 1)
 
 
 def o_even_bialternant(lam: Partition, l: int) -> LaurentPoly:

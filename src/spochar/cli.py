@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .characters import (
     CharSpec,
@@ -21,9 +22,8 @@ from .characters import (
 )
 from .fock import matrix_element, pairing
 from .partitions import EMPTY, Partition, gt_chains
-from .ring import ONE, LaurentPoly, xvar
 from .series import HSpec, check_newton
-from .verify import Grid, SUITE_NAMES, run_suite
+from .verify import Grid, SUITE_NAMES, gt_weight, run_suite
 
 SCHEMA = 1
 
@@ -81,12 +81,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid_data = json.loads(args.grid) if args.grid else {}
+    grid = Grid.from_json(json.loads(args.grid) if args.grid else {})
     if args.seed is not None:
-        grid_data["rng_seed"] = args.seed
+        grid = replace(grid, rng_seed=args.seed)
     if args.eval_points is not None:
-        grid_data["eval_points"] = args.eval_points
-    grid = Grid.from_json(grid_data)
+        grid = replace(grid, eval_points=args.eval_points)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITE_NAMES:
@@ -124,14 +123,7 @@ def _cmd_gt(args) -> int:
     _require(args, ["lambda", "n"])
     lam = _parse_partition(args.lam)
     chains = list(gt_chains(lam, args.n))
-    entries = []
-    for chain in chains:
-        exps = chain.weight_exponents()
-        mono = ONE
-        for i, e in enumerate(exps, start=1):
-            if e:
-                mono = mono * LaurentPoly.variable(xvar(i), e)
-        entries.append((chain, exps, mono))
+    entries = [(chain, chain.weight_exponents(), gt_weight(chain)) for chain in chains]
     payload = {
         "schema": SCHEMA,
         "command": "gt",
@@ -264,9 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
-    with open(path) as fh:
-        cfg = json.load(fh)
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise UsageError("--config needs a file path")
+    try:
+        with open(argv[at]) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     # push config values into every subparser that knows the key

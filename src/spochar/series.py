@@ -5,8 +5,8 @@ coefficients of the formal series
 
     prod_i 1/((1 - x_i w)(1 - x_i^{-1} w)) * prod_j (z-factors)
 
-where the z-factors are 1/(1 - z_j w) (``plain``), the pair
-1/((1 - z_j w)(1 - z_j^{-1} w)) (``symmetric``), or absent (``none``).
+where the z-factors are 1/(1 - z_j w) (``plain``) or the pair
+1/((1 - z_j w)(1 - z_j^{-1} w)) (``symmetric``).
 Coefficients below index zero are zero and h_0 = 1.  The e-family expands
 prod_j (1 - z_j^{-1} w), whose coefficients are elementary symmetric
 polynomials of the -z_j^{-1}; a Newton-style recurrence ties the plain and
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .ring import ONE, ZERO, LaurentPoly, Monomial, xvar, yvar, zvar
 
-Z_MODES = ("plain", "symmetric", "none")
+Z_MODES = ("plain", "symmetric")
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,6 @@ class HSpec:
             raise ValueError("variable counts must be >= 0")
         if self.z_mode not in Z_MODES:
             raise ValueError(f"z_mode must be one of {Z_MODES}")
-        if self.z_mode == "none":
-            object.__setattr__(self, "m", 0)
 
 
 def _geom_factors(spec: HSpec) -> tuple[Monomial, ...]:
@@ -71,14 +69,9 @@ def h_seq(spec: HSpec, N: int) -> list[LaurentPoly]:
     return list(_geom_product(_geom_factors(spec), N))
 
 
-def h_seq_vars(monomials: tuple[Monomial, ...], N: int) -> list[LaurentPoly]:
-    """h-family of an explicit list of unit monomial factors."""
-    return list(_geom_product(monomials, N))
-
-
 def h_seq_y(k: int, N: int) -> list[LaurentPoly]:
     """Complete homogeneous polynomials in y_1..y_k up to degree N."""
-    return h_seq_vars(tuple(((yvar(i), 1),) for i in range(1, k + 1)), N)
+    return list(_geom_product(tuple(((yvar(i), 1),) for i in range(1, k + 1)), N))
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ a false identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -30,19 +30,18 @@ from .characters import (
     o_odd_closed,
     o_skew,
     o_universal,
-    o_universal_seq,
     sp_bialternant,
     o_even_bialternant,
     sp_odd_bialternant,
     sp_skew,
     sp_universal,
-    sp_universal_seq,
     schur,
     skew_det,
     universal_det,
+    universal_seq,
 )
 from .partitions import (
-    EMPTY,
+    GTChain,
     Partition,
     enumerate_partitions,
     gt_chains,
@@ -85,11 +84,21 @@ class Grid:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Grid":
-        kwargs = dict(data)
-        for key in ("n_range", "m_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+    def from_json(cls, data) -> "Grid":
+        """Grid from a JSON object; raises ValueError on unknown keys or types."""
+        if not isinstance(data, dict):
+            raise ValueError("grid must be a JSON object")
+        known = [f.name for f in fields(cls)]
+        kwargs = {}
+        for key, value in data.items():
+            if key not in known:
+                raise ValueError(f"unknown grid key {key!r}; known: {', '.join(known)}")
+            pair = key in ("n_range", "m_range")
+            ints = value if pair and isinstance(value, (list, tuple)) else [value]
+            if len(ints) != (2 if pair else 1) or any(type(v) is not int for v in ints):
+                want = "a pair of integers" if pair else "an integer"
+                raise ValueError(f"grid key {key!r} must be {want}")
+            kwargs[key] = tuple(value) if pair else value
         return cls(**kwargs)
 
 
@@ -281,16 +290,15 @@ def check_commutation(grid: Grid) -> CheckReport:
                         acc[mu_id] = val
                     elif mu_id in acc:
                         del acc[mu_id]
-                ses.instances += 1
                 if acc:
-                    ses._failures.append(
-                        (
-                            (sum(mu), name, i, j),
-                            f"{name} i={i} j={j} mu={list(mu)}",
-                            f"residual on {len(acc)} basis vectors",
-                            "0",
-                        )
+                    ses.fail(
+                        (sum(mu), name, i, j),
+                        f"{name} i={i} j={j} mu={list(mu)}",
+                        f"residual on {len(acc)} basis vectors",
+                        "0",
                     )
+                else:
+                    ses.ok()
     return ses.report()
 
 
@@ -372,12 +380,14 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                 lhs = uni(lam, n, m)
                 big = lam.length
                 for k in range(n + 1):
+                    # the skew factor's variables move to the top of each
+                    # block; a block it takes whole keeps its names
+                    xmove = range(1, k + 1) if n > k else ()
                     for s in range(m + 1):
+                        zmove = range(1, s + 1) if m > s else ()
                         rhs = ZERO
-                        rename = {xvar(i): xvar(n - k + i) for i in range(1, k + 1)}
-                        rename.update(
-                            {zvar(j): zvar(m - s + j) for j in range(1, s + 1)}
-                        )
+                        rename = {xvar(i): xvar(n - k + i) for i in xmove}
+                        rename.update({zvar(j): zvar(m - s + j) for j in zmove})
                         for eta in subpartitions(lam, big):
                             inner = universal_det(fam, eta, eta.length, n - k, m - s)
                             if inner.is_zero():
@@ -396,71 +406,25 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                         )
 
 
-def check_branching_sp(grid: Grid) -> CheckReport:
-    """Universal symplectic branching over every split of both variable blocks."""
-    ses = _Session("branching_sp", grid)
+def check_branching(family: str, grid: Grid) -> CheckReport:
+    """Universal branching over every split of both variable blocks."""
+    ses = _Session(f"branching_{family}", grid)
     n_vals = range(grid.n_range[0], grid.n_range[1] + 1)
     m_vals = range(grid.m_range[0], grid.m_range[1] + 1)
-    _run_branching(ses, "sp", n_vals, m_vals, grid, "sp")
-    return ses.report()
-
-
-def check_branching_o(grid: Grid) -> CheckReport:
-    """Universal orthogonal branching over every split of both variable blocks."""
-    ses = _Session("branching_o", grid)
-    n_vals = range(grid.n_range[0], grid.n_range[1] + 1)
-    m_vals = range(grid.m_range[0], grid.m_range[1] + 1)
-    _run_branching(ses, "o", n_vals, m_vals, grid, "o")
+    _run_branching(ses, family, n_vals, m_vals, grid, family)
     return ses.report()
 
 
 def check_branching_odd_sp(grid: Grid) -> CheckReport:
     """The single-plain-variable branching pair: the plain variable may ride
-    with the skew factor or with the inner character; plus the one-variable
-    power collapse, which needs the horizontal-strip condition."""
+    with the skew factor (s=1) or with the inner character (s=0); plus the
+    one-variable power collapse, which needs the horizontal-strip condition."""
     ses = _Session("branching_odd_sp", grid)
-    for n in range(grid.n_range[0], grid.n_range[1] + 1):
+    n_vals = range(grid.n_range[0], grid.n_range[1] + 1)
+    _run_branching(ses, "sp", n_vals, [1], grid, "sp odd")
+    for n in n_vals:
         for lam in _lams(grid.max_weight, n + 1):
-            lhs = sp_universal(lam, n, 1)
             big = lam.length
-            for k in range(n + 1):
-                rename = {xvar(i): xvar(n - k + i) for i in range(1, k + 1)}
-                # (a) plain variable with the skew factor
-                rhs = ZERO
-                for eta in subpartitions(lam, big):
-                    inner = universal_det("sp", eta, eta.length, n - k, 0)
-                    if inner.is_zero():
-                        continue
-                    piece = skew_det("sp", lam, eta.with_declared(big), k, 1)
-                    if piece.is_zero():
-                        continue
-                    if rename:
-                        piece = piece.rename(rename)
-                    rhs = rhs + inner * piece
-                ses.check(
-                    (lam.weight, "z-right", n, k),
-                    f"z-right lam={lam.parts} n={n} k={k}",
-                    lhs,
-                    rhs,
-                )
-                # (b) plain variable with the inner character
-                rhs = ZERO
-                for eta in subpartitions(lam, big):
-                    inner = universal_det("sp", eta, eta.length, n - k, 1)
-                    if inner.is_zero():
-                        continue
-                    piece = skew_det("sp", lam, eta.with_declared(big), k, 0)
-                    if piece.is_zero():
-                        continue
-                    if rename:
-                        piece = piece.rename(rename)
-                    rhs = rhs + inner * piece
-                ses.check(
-                    (lam.weight, "z-left", n, k),
-                    f"z-left lam={lam.parts} n={n} k={k}",
-                    lhs,
-                    rhs,
-                )
             # power collapse: one-variable skew pieces are single powers on
             # horizontal strips and vanish otherwise
             rhs = ZERO
@@ -483,7 +447,7 @@ def check_branching_odd_sp(grid: Grid) -> CheckReport:
             ses.check(
                 (lam.weight, "power-sum", n),
                 f"power collapse lam={lam.parts} n={n}",
-                lhs,
+                sp_universal(lam, n, 1),
                 rhs,
             )
     return ses.report()
@@ -555,13 +519,7 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
     cap = min(grid.degree_cap, 5)
     n_lo, n_hi = grid.n_range
     m_lo, m_hi = grid.m_range
-    if family == "sp_universal":
-        pairs = [
-            (n, m)
-            for n in range(n_lo, min(n_hi, 2) + 1)
-            for m in range(m_lo, min(m_hi, 1) + 1)
-        ]
-    elif family == "sp_odd":
+    if family == "sp_odd":
         pairs = [(n, 1) for n in range(n_lo, min(n_hi, 2) + 1)]
     elif family == "sp_n0":
         pairs = [(0, m) for m in range(m_lo, min(m_hi, 2) + 1)]
@@ -578,7 +536,6 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
         if family == "o_universal":
             rhs_strict = _cauchy_rhs(n, m, ycount, True, cap)
             rhs_loose = _cauchy_rhs(n, m, ycount, False, cap)
-            ses.instances += 1
             if lhs == rhs_loose:
                 ses.notes.append(
                     f"n={n} m={m}: non-strict pair product (k<=l) matches"
@@ -586,14 +543,14 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
             elif lhs == rhs_strict:
                 ses.notes.append(f"n={n} m={m}: strict pair product (k<l) matches")
             else:
-                ses._failures.append(
-                    (
-                        (n + m, n, m),
-                        f"o cauchy n={n} m={m} D={cap}: neither variant",
-                        _short(lhs),
-                        _short(rhs_loose),
-                    )
+                ses.fail(
+                    (n + m, n, m),
+                    f"o cauchy n={n} m={m} D={cap}: neither variant",
+                    _short(lhs),
+                    _short(rhs_loose),
                 )
+                continue
+            ses.ok()
         else:
             rhs = _cauchy_rhs(n, m, ycount, True, cap)
             ses.check((n + m, n, m), f"{family} n={n} m={m} D={cap}", lhs, rhs)
@@ -601,6 +558,12 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
 
 
 # -- transitions, GT, dual engine ---------------------------------------------
+
+
+def gt_weight(chain: GTChain) -> LaurentPoly:
+    """The chain's weight monomial x_1^{e_1} ... x_{n+1}^{e_{n+1}}."""
+    exps = chain.weight_exponents()
+    return LaurentPoly.monomial(tuple((xvar(i), e) for i, e in enumerate(exps, 1) if e))
 
 
 def _is_partition_seq(seq) -> bool:
@@ -613,62 +576,36 @@ def check_transition_odd(grid: Grid) -> CheckReport:
     ses = _Session("transition_odd", grid)
     z1 = LaurentPoly.variable(zvar(1))
     for n in range(grid.n_range[0], grid.n_range[1] + 1):
-        for lam in _lams(grid.max_weight, n + 1):
-            lhs = sp_universal(lam, n, 1)
-            lp = lam.padded(n + 1)
-            rhs = ZERO
-            for eps in product((0, 1), repeat=n + 1):
-                seq = tuple(a - e for a, e in zip(lp, eps))
-                if _is_partition_seq(seq):
-                    term = sp_universal(Partition(seq), n + 1, 0).substitute(
-                        {xvar(n + 1): z1}
-                    )
-                    sign = -1 if sum(eps) % 2 else 1
-                    rhs = rhs + term * LaurentPoly.variable(
-                        zvar(1), -sum(eps)
-                    ) * sign
-                else:
-                    dropped = sp_universal_seq(seq, n + 1, 0)
-                    ses.check(
-                        (lam.weight, "sp-drop", n, seq),
-                        f"sp dropped term lam={lam.parts} n={n} eps={list(eps)}",
-                        dropped,
-                        ZERO,
-                    )
-            ses.check(
-                (lam.weight, "sp", n),
-                f"sp transition lam={lam.parts} n={n}",
-                lhs,
-                rhs,
-            )
-        for lam in _lams(grid.max_weight, n):
-            lhs = o_universal(lam, n, 1)
-            lp = lam.padded(n)
-            rhs = ZERO
-            for eps in product((0, 1), repeat=n):
-                seq = tuple(a - e for a, e in zip(lp, eps))
-                if _is_partition_seq(seq):
-                    term = o_universal(Partition(seq), n + 1, 0).substitute(
-                        {xvar(n + 1): z1}
-                    )
-                    sign = -1 if sum(eps) % 2 else 1
-                    rhs = rhs + term * LaurentPoly.variable(
-                        zvar(1), -sum(eps)
-                    ) * sign
-                else:
-                    dropped = o_universal_seq(seq, n + 1, 0)
-                    ses.check(
-                        (lam.weight, "o-drop", n, seq),
-                        f"o dropped term lam={lam.parts} n={n} eps={list(eps)}",
-                        dropped,
-                        ZERO,
-                    )
-            ses.check(
-                (lam.weight, "o", n),
-                f"o transition lam={lam.parts} n={n}",
-                lhs,
-                rhs,
-            )
+        # the symplectic sum runs over n+1 rows, the orthogonal one over n
+        for family, rows in (("sp", n + 1), ("o", n)):
+            uni = sp_universal if family == "sp" else o_universal
+            for lam in _lams(grid.max_weight, rows):
+                lp = lam.padded(rows)
+                rhs = ZERO
+                for eps in product((0, 1), repeat=rows):
+                    seq = tuple(a - e for a, e in zip(lp, eps))
+                    if _is_partition_seq(seq):
+                        term = uni(Partition(seq), n + 1, 0).substitute(
+                            {xvar(n + 1): z1}
+                        )
+                        sign = -1 if sum(eps) % 2 else 1
+                        rhs = rhs + term * LaurentPoly.variable(
+                            zvar(1), -sum(eps)
+                        ) * sign
+                    else:
+                        ses.check(
+                            (lam.weight, f"{family}-drop", n, seq),
+                            f"{family} dropped term lam={lam.parts} n={n}"
+                            f" eps={list(eps)}",
+                            universal_seq(family, seq, n + 1, 0),
+                            ZERO,
+                        )
+                ses.check(
+                    (lam.weight, family, n),
+                    f"{family} transition lam={lam.parts} n={n}",
+                    uni(lam, n, 1),
+                    rhs,
+                )
     return ses.report()
 
 
@@ -679,14 +616,7 @@ def check_gt_sum(grid: Grid) -> CheckReport:
     for n in range(max(1, grid.n_range[0]), grid.n_range[1] + 1):
         for lam in _lams(grid.max_weight, n):
             chains = list(gt_chains(lam, n))
-            total = ZERO
-            for chain in chains:
-                exps = chain.weight_exponents()
-                mono = ONE
-                for i, e in enumerate(exps, start=1):
-                    if e:
-                        mono = mono * LaurentPoly.variable(xvar(i), e)
-                total = total + mono
+            total = sum((gt_weight(chain) for chain in chains), ZERO)
             rhs = sp_universal(lam, n, 1).substitute(
                 {zvar(1): LaurentPoly.variable(xvar(n + 1))}
             )
@@ -698,15 +628,14 @@ def check_gt_sum(grid: Grid) -> CheckReport:
             )
             ones = {v: Fraction(1) for v in rhs.variables()}
             dim = rhs.evaluate(ones) if rhs.variables() else rhs.constant_value()
-            ses.instances += 1
-            if Fraction(len(chains)) != Fraction(dim):
-                ses._failures.append(
-                    (
-                        (lam.weight, "count", n),
-                        f"gt count lam={lam.parts} n={n}",
-                        str(len(chains)),
-                        str(dim),
-                    )
+            if Fraction(len(chains)) == Fraction(dim):
+                ses.ok()
+            else:
+                ses.fail(
+                    (lam.weight, "count", n),
+                    f"gt count lam={lam.parts} n={n}",
+                    str(len(chains)),
+                    str(dim),
                 )
     return ses.report()
 
@@ -800,15 +729,11 @@ def check_newton_suite(grid: Grid) -> CheckReport:
     for n in range(grid.n_range[0], grid.n_range[1] + 1):
         for m in range(max(1, grid.m_range[0]), grid.m_range[1] + 1):
             N = min(8, grid.degree_cap + 2)
-            ses.instances += 1
-            if not check_newton(HSpec(n, m, "plain"), N):
-                ses._failures.append(
-                    (
-                        (n + m, n, m),
-                        f"newton n={n} m={m} N={N}",
-                        "recurrence mismatch",
-                        "",
-                    )
+            if check_newton(HSpec(n, m, "plain"), N):
+                ses.ok()
+            else:
+                ses.fail(
+                    (n + m, n, m), f"newton n={n} m={m} N={N}", "recurrence mismatch", ""
                 )
     return ses.report()
 
@@ -817,8 +742,8 @@ SUITES = {
     "commutation": check_commutation,
     "orthonormality": check_orthonormality,
     "bialternants": check_bialternants,
-    "branching_sp": check_branching_sp,
-    "branching_o": check_branching_o,
+    "branching_sp": lambda grid: check_branching("sp", grid),
+    "branching_o": lambda grid: check_branching("o", grid),
     "branching_odd_sp": check_branching_odd_sp,
     "cauchy_sp": lambda grid: check_cauchy("sp_universal", grid),
     "cauchy_sp_odd": lambda grid: check_cauchy("sp_odd", grid),

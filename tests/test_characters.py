@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from spochar import characters
 from spochar.characters import (
     CharSpec,
     DimensionCapExceeded,
@@ -21,17 +22,14 @@ from spochar.characters import (
     o_odd_closed,
     o_skew,
     o_universal,
-    o_universal_seq,
     schur,
     skew_det,
     sp_bialternant,
     sp_odd_bialternant,
-    sp_odd_jt,
     sp_skew,
-    sp_skew_seq,
     sp_universal,
-    sp_universal_seq,
     universal_det,
+    universal_seq,
 )
 from spochar.partitions import Partition, enumerate_partitions, interlaces, subpartitions
 from spochar.ring import LaurentPoly, xvar, zvar
@@ -138,10 +136,11 @@ def test_single_z_collapse_on_strips():
 
 
 def test_row_permutation_sign_rule():
-    # permuting the shifted row weights multiplies the determinant by the sign
+    # permuting the shifted row weights multiplies the determinant by the sign;
+    # skew symplectic, inner (1) declared one row long, n = m = 1
     base_alpha = (3, 1, 0)
-    inner = P((1,)).with_declared(1)
-    base = sp_skew_seq(base_alpha, inner, 1, 1)
+    inner = (1, 0, 0)
+    base = characters._jt_det("sp", base_alpha, inner, 1, 1, 1)
     assert not base.is_zero()
     for sigma in itertools.permutations(range(3)):
         sign = 1
@@ -150,15 +149,15 @@ def test_row_permutation_sign_rule():
                 if sigma[i] > sigma[j]:
                     sign = -sign
         acted = tuple(base_alpha[sigma[i]] + i - sigma[i] for i in range(3))
-        got = sp_skew_seq(acted, inner, 1, 1)
+        got = characters._jt_det("sp", acted, inner, 1, 1, 1)
         want = base if sign > 0 else MINUS * base
         assert got == want, (sigma, acted)
 
 
 def test_seq_with_repeated_shifted_weight_vanishes():
     # equal shifted weights mean equal rows
-    assert sp_universal_seq((1, 2, 0), 1, 2) == ZERO
-    assert o_universal_seq((0, 1), 1, 1) == ZERO
+    assert universal_seq("sp", (1, 2, 0), 1, 2) == ZERO
+    assert universal_seq("o", (0, 1), 1, 1) == ZERO
 
 
 # --- vacuum-side and uncapped determinant variants ---
@@ -224,9 +223,9 @@ def test_sp_odd_bialternant_values():
 
 
 def test_sp_odd_jt_values():
-    assert sp_odd_jt(P(()), 1) == ONE
-    assert sp_odd_jt(P((1,)), 1) == sp_universal(P((1,)), 1, 1)
-    got = sp_odd_jt(P((2,)), 1).text()
+    assert sp_universal(P(()), 1, 1) == ONE
+    assert sp_universal(P((1,)), 1, 1).text() == "z1 + x1 + x1^-1"
+    got = sp_universal(P((2,)), 1, 1).text()
     assert got == "z1^2 + x1^2 + x1*z1 + x1^-1*z1 + 1 + x1^-2"
 
 

@@ -181,6 +181,22 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--config"],
+        ["verify", "--config", "MISSING"],
+        ["verify", "--grid", "[1]"],
+        ["verify", "--grid", '{"bogus": 1}'],
+        ["verify", "--grid", '{"n_range": 3}'],
+        ["verify", "--grid", '{"max_weight": "a"}'],
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "sp", "n": 1, "m": 0}))

@@ -28,10 +28,6 @@ def test_h_symmetric_z_mode():
     assert got == ["1", "z1 + z1^-1", "z1^2 + 1 + z1^-2"]
 
 
-def test_none_mode_drops_z_entirely():
-    assert h_seq(HSpec(1, 2, "none"), 3) == h_seq(HSpec(1, 0, "plain"), 3)
-
-
 def test_h_is_multiplicative_over_alphabets():
     # the mixed sequence is the convolution of the pure-x and pure-z ones
     hx = h_seq(HSpec(2, 0, "plain"), 4)
