@@ -159,6 +159,43 @@ def test_verify_all_output_is_byte_stable(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_JSON_SHA256
 
 
+# `spochar fock` on both families, a zero pairing, polynomial results with
+# n, m > 0 and a declared-length beta: the text output verbatim and the sha256
+# of the JSON output, recorded before the Fock vectors became rational.
+FOCK_GOLDEN = [
+    ("--pairing --mu 2,1 --lambda 2,1", "1",
+     "ee1dcfee68e4ccec015b8de732af6bfe1bcc77e5b8c430b79e4b31a0e480ee67"),
+    ("--pairing --mu 2 --lambda 1,1 --family o", "0",
+     "942db8d53870265abe0975a39cdba53c50c6d5eb50052f3d011ff4c2dbaaa69c"),
+    ("--pairing --mu 1,1 --lambda 1,1,0 --family o", "1",
+     "a805653bd2e6f497e4ad4fcc84b0ca3db6281cfc69c2bd998c7e7e0a97f22fd8"),
+    ("--matrix-element --beta= --alpha 2,1 --n 1 --m 1",
+     "x1^2*z1 + x1*z1^2 + z1 + x1^-1*z1^2 + x1^-2*z1",
+     "8b1cdcfb43486a8e4b34bbb56e0745c48d020f42dfd2611a8b96fb77d9548e29"),
+    ("--matrix-element --beta 1,0 --alpha 2,1 --n 1 --m 1 --family o",
+     "z1^2 + x1^2 + 2*x1*z1 + 2*x1^-1*z1 + 2 + x1^-2",
+     "5822e0518f110f9bff56e13b40b372ce5bd53f7a20cf5bae55309c34feba3e0a"),
+    ("--matrix-element --beta 1 --alpha 3,1 --n 2 --m 0 --family sp",
+     "x2^3 + x1^3 + 2*x1^2*x2 + 2*x1*x2^2 + 5*x2 + 2*x1^2*x2^-1 + 5*x1"
+     " + 2*x1^-1*x2^2 + 5*x2^-1 + 2*x1*x2^-2 + 5*x1^-1 + 2*x1^-2*x2 + x2^-3"
+     " + 2*x1^-1*x2^-2 + 2*x1^-2*x2^-1 + x1^-3",
+     "41fa586f861188c0aceb01bfc7a5ffc2766c357fed8eb592c5458c103d561376"),
+    ("--matrix-element --beta 2,1 --alpha 1 --n 1 --m 0", "0",
+     "156a5806e385c90cfeba051eab732550d4fa983ef57a3dbc25f93b2342976854"),
+]
+
+
+@pytest.mark.parametrize("flags,text,json_sha256", FOCK_GOLDEN)
+def test_fock_output_is_byte_stable(capsys, flags, text, json_sha256):
+    argv = ["fock", *flags.split()]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == text + "\n"
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import spochar.cli as cli
 
