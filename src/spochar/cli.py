@@ -253,14 +253,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value as argparse would take the same flag on the command line."""
+    if action.nargs == 0:  # a switch such as --count
+        if type(value) is bool:
+            return value
+    elif type(value) in (str, int):
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or value in action.choices:
+                return value
+    raise UsageError(f"config key {key!r}: invalid value {value!r}")
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog="spochar", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return
-    at = argv.index("--config") + 1
-    if at == len(argv):
-        raise UsageError("--config needs a file path")
     try:
-        with open(argv[at]) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
@@ -269,8 +285,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     # push config values into every subparser that knows the key
     for action in parser._subparsers._group_actions:
         for sub in action.choices.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in cfg.items() if k in known})
+            known = {a.dest: a for a in sub._actions}
+            sub.set_defaults(
+                **{k: _config_value(known[k], k, v) for k, v in cfg.items() if k in known}
+            )
 
 
 def main(argv: list[str] | None = None) -> int:

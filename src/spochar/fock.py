@@ -1,8 +1,8 @@
 """Truncated bosonic Fock-space engine.
 
-Vectors live in the polynomial ring Q[p_1, p_2, ...][x^{+-}, z]: a vector is a
-dict mapping a power-sum index (a partition tuple, parts descending) to a
-Laurent-polynomial coefficient.  The Heisenberg generators act by
+A vector is a dict mapping a power-sum index (a partition tuple, parts
+descending) to an exact rational coefficient (int or Fraction).  The
+Heisenberg generators act by
 
     a_{-n} p_mu = p_{mu + part n},      a_n p_mu = n * m_n(mu) p_{mu - part n},
 
@@ -14,8 +14,13 @@ X_k is the w^{target}-coefficient of
 
 where pre(w) is 1 or (1 - w^2) and target is +-k, per the table below.  The
 annihilation stage is computed once per basis vector and cached; the mode
-action on a basis vector is cached once per (kind, k, basis) triple, so large
-verification grids share almost all of the work.
+action on a basis vector is cached once per (kind, k, basis) triple as
+integers over one denominator, keyed by interned partition ids (`pid`), so
+large verification grids share almost all of the work.
+
+Only the half-current Gamma_+(x, z) brings in the character variables: it
+maps a rational ket to Laurent-polynomial coefficients, and a matrix element
+<beta|Gamma_+|alpha> contracts those against rational bra coefficients.
 
 Everything is exact: w-series are dicts over integer powers with Fraction
 values, and no truncation is ever applied (each exponential terminates on a
@@ -33,7 +38,9 @@ from typing import NamedTuple
 from .partitions import Partition, PartitionTooLong, partitions_of
 from .ring import ONE, ZERO, LaurentPoly, xvar, zvar
 
-FockVector = dict[tuple[int, ...], LaurentPoly]
+# Coefficients are int/Fraction; after gamma_plus they are LaurentPolys.  The
+# operations below use only +, * and truthiness, so they accept either.
+FockVector = dict[tuple[int, ...], int | Fraction | LaurentPoly]
 
 WPoly = dict[int, Fraction]
 
@@ -67,11 +74,25 @@ _PLAIN_OF = {"sp": "Y", "o": "W"}
 
 
 def vacuum() -> FockVector:
-    return {(): ONE}
+    return {(): 1}
 
 
-def vacuum_coefficient(vec: FockVector) -> LaurentPoly:
-    return vec.get((), ZERO)
+def vacuum_coefficient(vec: FockVector):
+    return vec.get((), 0)
+
+
+# Interned partition ids: mode rows are keyed by them, so compositions
+# accumulate plain ints in id-keyed dicts.
+_PID: dict[tuple[int, ...], int] = {}
+PARTS: list[tuple[int, ...]] = []
+
+
+def pid(nu: tuple[int, ...]) -> int:
+    """The interned id of a partition tuple; PARTS maps it back."""
+    if nu not in _PID:
+        _PID[nu] = len(PARTS)
+        PARTS.append(nu)
+    return _PID[nu]
 
 
 def _insert_part(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -87,19 +108,28 @@ def _remove_part(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _linear(vec: FockVector, row) -> FockVector:
+    """Extend a map on basis vectors, row(mu) -> ((nu, coeff), ...), linearly."""
+    out: FockVector = {}
+    for mu, f in vec.items():
+        for nu, g in row(mu):
+            cur = out.get(nu, 0) + f * g
+            if cur:
+                out[nu] = cur
+            else:
+                out.pop(nu, None)
+    return out
+
+
 def heisenberg(vec: FockVector, n: int) -> FockVector:
     """Apply a_n (n > 0 annihilates, n < 0 creates part |n|)."""
     if n == 0:
         raise ZeroModeRequested("a_0 acts as zero here; request a nonzero index")
-    out: FockVector = {}
-    for mu, f in vec.items():
-        if n < 0:
-            key = _insert_part(mu, -n)
-            out[key] = out.get(key, ZERO) + f
-        elif n in mu:
-            key = _remove_part(mu, n)
-            out[key] = out.get(key, ZERO) + f * (n * mu.count(n))
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    if n < 0:
+        return _linear(vec, lambda mu: [(_insert_part(mu, -n), 1)])
+    return _linear(
+        vec, lambda mu: [(_remove_part(mu, n), n * mu.count(n))] if n in mu else []
+    )
 
 
 @lru_cache(maxsize=None)
@@ -156,14 +186,7 @@ def _stages_core(sa: int, mu: tuple[int, ...]):
                         elif key in cwp:
                             del cwp[key]
         t = {nu: wp for nu, wp in nxt.items() if wp}
-        for nu, wp in t.items():
-            acc = total.setdefault(nu, {})
-            for p, q in wp.items():
-                val = acc.get(p, 0) + q
-                if val:
-                    acc[p] = val
-                elif p in acc:
-                    del acc[p]
+        total.update(t)  # the j-th term has j parts fewer, so no key repeats
     return tuple(
         (nu, tuple(sorted(wp.items()))) for nu, wp in total.items() if wp
     )
@@ -193,11 +216,10 @@ def _zlcm(c: int) -> int:
 
 @lru_cache(maxsize=None)
 def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]):
-    """X_k p_mu as (((nu, int), ...), denominator).
+    """X_k p_mu as (((pid(nu), int), ...), denominator).
 
     Integer coefficients over one shared denominator keep the large
-    verification loops out of Fraction arithmetic; `_mode_on_basis` restores
-    exact rationals on demand.
+    verification loops out of Fraction arithmetic.
     """
     shape = MODE_SHAPES[kind]
     target = shape.target_sign * k
@@ -230,29 +252,40 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]):
                     acc[key] = val
                 elif key in acc:
                     del acc[key]
-    return tuple(acc.items()), den * zl
-
-
-@lru_cache(maxsize=None)
-def _mode_on_basis(kind: str, k: int, mu: tuple[int, ...]):
-    """X_k p_mu as ((nu, Fraction), ...)."""
-    entries, den = _mode_row_scaled(kind, k, mu)
-    return tuple((nu, Fraction(v, den)) for nu, v in entries)
+    return tuple((pid(nu), v) for nu, v in acc.items()), den * zl
 
 
 def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
     """Apply the mode X_k of the given kind to a vector, exactly."""
     if kind not in MODE_SHAPES:
         raise ValueError(f"unknown mode kind {kind!r}")
-    out: FockVector = {}
-    for mu, f in vec.items():
-        for nu, q in _mode_on_basis(kind, k, mu):
-            cur = out.get(nu, ZERO) + f * q
-            if cur.is_zero():
-                out.pop(nu, None)
-            else:
-                out[nu] = cur
-    return out
+
+    def row(mu):
+        entries, den = _mode_row_scaled(kind, k, mu)
+        return [(PARTS[i], Fraction(v, den)) for i, v in entries]
+
+    return _linear(vec, row)
+
+
+def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
+    """X_out X_in p_mu as ({pid(nu): int}, denominator), in integers only."""
+    inner, d_in = _mode_row_scaled(kind_in, k_in, mu)
+    pieces = []
+    lcm = 1
+    for i, qi in inner:
+        entries, s = _mode_row_scaled(kind_out, k_out, PARTS[i])
+        pieces.append((qi, entries, s))
+        lcm = lcm * s // gcd(lcm, s)
+    out: dict[int, int] = {}
+    for qi, entries, s in pieces:
+        f = qi * (lcm // s)
+        for rid, ri in entries:
+            val = out.get(rid, 0) + f * ri
+            if val:
+                out[rid] = val
+            elif rid in out:
+                del out[rid]
+    return out, d_in * lcm
 
 
 @lru_cache(maxsize=None)
@@ -287,43 +320,36 @@ def _power_sum_value(n: int, m: int, k: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def _gamma_on_basis(n: int, m: int, rho: tuple[int, ...]):
     """exp(sum_k a_k/k * p_k(vars)) applied to p_rho, as ((nu, poly), ...)."""
-    total: dict[tuple[int, ...], LaurentPoly] = {rho: ONE}
     t = {rho: ONE}
+    total = dict(t)
     j = 0
     while t:
         j += 1
-        nxt: dict[tuple[int, ...], LaurentPoly] = {}
-        for nu, f in t.items():
-            for part in set(nu):
-                mult = nu.count(part)
-                child = _remove_part(nu, part)
-                term = f * _power_sum_value(n, m, part) * Fraction(mult, j)
-                cur = nxt.get(child, ZERO) + term
-                if cur.is_zero():
-                    nxt.pop(child, None)
-                else:
-                    nxt[child] = cur
-        t = nxt
-        for nu, f in t.items():
-            cur = total.get(nu, ZERO) + f
-            if cur.is_zero():
-                total.pop(nu, None)
-            else:
-                total[nu] = cur
+        # integer rows, then one 1/j per term: fewer Fraction products
+        t = _linear(t, lambda nu: [
+            (_remove_part(nu, k), _power_sum_value(n, m, k) * nu.count(k))
+            for k in set(nu)
+        ])
+        t = {nu: f * Fraction(1, j) for nu, f in t.items()}
+        total.update(t)  # the j-th term has j parts fewer, so no key repeats
     return tuple(total.items())
 
 
 def gamma_plus(n: int, m: int, vec: FockVector) -> FockVector:
     """Apply the annihilation half-current evaluated on the character alphabet."""
-    out: FockVector = {}
-    for rho, f in vec.items():
-        for nu, g in _gamma_on_basis(n, m, rho):
-            cur = out.get(nu, ZERO) + f * g
-            if cur.is_zero():
-                out.pop(nu, None)
-            else:
-                out[nu] = cur
-    return out
+    return _linear(vec, lambda rho: _gamma_on_basis(n, m, rho))
+
+
+@lru_cache(maxsize=None)
+def _bra_on_basis(star: str, word: tuple[int, ...], nu: tuple[int, ...]):
+    """<0| X*_{-b_L} ... X*_{-b_1} p_nu for word = (b_1, ..., b_L), a rational.
+
+    Recursing on the word's tail shares every suffix between bras."""
+    if not word:
+        return int(nu == ())
+    entries, den = _mode_row_scaled(star, -word[0], nu)
+    total = sum(v * _bra_on_basis(star, word[1:], PARTS[i]) for i, v in entries)
+    return Fraction(total, den)
 
 
 def matrix_element(
@@ -333,27 +359,25 @@ def matrix_element(
     length; equals the skew character when alpha fits in l+n+m rows."""
     if family not in _STAR_OF:
         raise ValueError(f"unknown family {family!r}")
+    if n < 0 or m < 0:
+        raise ValueError("variable counts must be >= 0")
     l = beta.declared_len
     if alpha.length > l + n + m:
         raise PartitionTooLong(f"{alpha.parts} needs more than {l + n + m} rows")
-    vec = ket(alpha.with_declared(l + n + m), family)
-    vec = gamma_plus(n, m, vec)
-    star = _STAR_OF[family]
-    for b in beta.padded(l):
-        vec = apply_mode(star, -b, vec)
-    return vacuum_coefficient(vec)
+    star, word = _STAR_OF[family], beta.padded(l)
+    out = ZERO
+    for rho, f in ket(alpha.with_declared(l + n + m), family).items():
+        for nu, g in _gamma_on_basis(n, m, rho):
+            c = f * _bra_on_basis(star, word, nu)
+            if c:
+                out = out + g * c
+    return out
 
 
 def pairing(mu: Partition, lam: Partition, family: str) -> LaurentPoly:
     """<mu|lam> without any current insertion; delta_{mu,lam} when all is well."""
-    if family not in _STAR_OF:
-        raise ValueError(f"unknown family {family!r}")
     length = max(mu.declared_len, lam.declared_len, mu.length, lam.length)
-    vec = ket(lam.with_declared(length), family)
-    star = _STAR_OF[family]
-    for b in mu.padded(length):
-        vec = apply_mode(star, -b, vec)
-    return vacuum_coefficient(vec)
+    return matrix_element(mu.with_declared(length), 0, 0, lam, family)
 
 
 # -- straightening -----------------------------------------------------------

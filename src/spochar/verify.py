@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -69,7 +68,7 @@ class Grid:
         for lo, hi in (self.n_range, self.m_range):
             if lo < 0 or hi < lo:
                 raise ValueError("ranges must be 0 <= lo <= hi")
-        if min(self.max_weight, self.max_len, self.degree_cap) < 0:
+        if min(self.max_weight, self.max_len, self.degree_cap, self.eval_points) < 0:
             raise ValueError("bounds must be >= 0")
 
     def to_json(self) -> dict:
@@ -198,47 +197,6 @@ _RELATIONS = (
 )
 
 
-# Fraction arithmetic is the bottleneck at this scale (tens of millions of
-# products per relation family), so compositions use the integer-scaled fock
-# rows and accumulate pure ints keyed by interned partition ids.
-
-_PID: dict[tuple[int, ...], int] = {}
-
-
-def _pid(nu: tuple[int, ...]) -> int:
-    pid = _PID.get(nu)
-    if pid is None:
-        pid = _PID[nu] = len(_PID)
-    return pid
-
-
-@lru_cache(maxsize=None)
-def _mode_ids(kind, k, mu):
-    entries, den = fock._mode_row_scaled(kind, k, mu)
-    return tuple((_pid(nu), v) for nu, v in entries), den
-
-
-def _compose_on_basis(kind_out, k_out, kind_in, k_in, mu):
-    """Apply kind_in then kind_out; returns (id-keyed int dict, denominator)."""
-    inner, d_in = fock._mode_row_scaled(kind_in, k_in, mu)
-    pieces = []
-    lcm = 1
-    for nu, qi in inner:
-        entries, s = _mode_ids(kind_out, k_out, nu)
-        pieces.append((qi, entries, s))
-        lcm = lcm * s // gcd(lcm, s)
-    out: dict[int, int] = {}
-    for qi, entries, s in pieces:
-        f = qi * (lcm // s)
-        for rid, ri in entries:
-            val = out.get(rid, 0) + f * ri
-            if val:
-                out[rid] = val
-            elif rid in out:
-                del out[rid]
-    return out, d_in * lcm
-
-
 def check_commutation(grid: Grid) -> CheckReport:
     """Quadratic exchange relations for all four mode families, on every
     power-sum basis vector up to the weight bound."""
@@ -260,19 +218,17 @@ def check_commutation(grid: Grid) -> CheckReport:
             # within the pure families the second word of one index pair is
             # the first word of another, so memoize per basis vector
             memo: dict = {}
-            mu_id = _pid(mu)
+            mu_id = fock.pid(mu)
             for i, j in pairs:
                 (w1a, w1b), (w2a, w2b) = words(i, j)
                 key = (kind_a, w1a, kind_b, w1b)
                 r1 = memo.get(key)
                 if r1 is None:
-                    r1 = memo[key] = _compose_on_basis(kind_a, w1a, kind_b, w1b, mu)
+                    r1 = memo[key] = fock.compose(kind_a, w1a, kind_b, w1b, mu)
                 key = (second_out, w2a, second_in, w2b)
                 r2 = memo.get(key)
                 if r2 is None:
-                    r2 = memo[key] = _compose_on_basis(
-                        second_out, w2a, second_in, w2b, mu
-                    )
+                    r2 = memo[key] = fock.compose(second_out, w2a, second_in, w2b, mu)
                 out1, d1 = r1
                 out2, d2 = r2
                 den = d1 * d2 // gcd(d1, d2)

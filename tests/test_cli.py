@@ -227,17 +227,39 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--grid", '{"bogus": 1}'],
         ["verify", "--grid", '{"n_range": 3}'],
         ["verify", "--grid", '{"max_weight": "a"}'],
+        ["verify", "--config", {"grid": {"max_weight": 2}}],
+        ["compute", "--config", {"n": 1.5}, "--family", "sp", "--m", "0", "--outer", "1"],
+        ["compute", "--config", {"n": [1]}, "--family", "sp", "--m", "0", "--outer", "1"],
+        ["verify", "--suite", "newton", "--config", {"format": "xml"}],
+        ["fock", "--matrix-element", "--beta", "", "--alpha", "1", "--n", "-1", "--m", "2"],
+        ["fock", "--matrix-element", "--beta", "", "--alpha", "1", "--n", "2", "--m", "-1"],
+        ["fock", "--matrix-element", "--beta", "", "--alpha", "", "--n", "-1", "--m", "0"],
+        ["verify", "--suite", "newton", "--eval-points", "-1"],
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
-    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
-    assert main(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    def arg(a):
+        if a == "MISSING":
+            return str(tmp_path / "missing.json")
+        if isinstance(a, dict):  # a config file holding this object
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(a))
+            return str(path)
+        return a
 
-def test_config_file_supplies_defaults(capsys, tmp_path):
+    assert main([arg(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    cfg = next((a for a in argv if isinstance(a, dict)), {})
+    assert all(repr(key) in err for key in cfg)  # the offending key is named
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+def test_config_file_supplies_defaults(capsys, tmp_path, joined):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "sp", "n": 1, "m": 0}))
-    code, out = run(capsys, "compute", "--config", str(cfg), "--outer", "1")
+    flags = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+    code, out = run(capsys, "compute", *flags, "--outer", "1")
     assert code == 0
     assert out.strip() == "x1 + x1^-1"
 

@@ -68,8 +68,8 @@ def test_heisenberg_commutator():
             ba = heisenberg(heisenberg(v, m), n)
             diff = dict(ab)
             for mu, f in ba.items():
-                g = diff.get(mu, ZERO) - f
-                if g.is_zero():
+                g = diff.get(mu, 0) - f
+                if not g:
                     diff.pop(mu, None)
                 else:
                     diff[mu] = g
@@ -156,6 +156,24 @@ def test_matrix_element_agrees_with_determinants():
                 for n, m in ((1, 0), (1, 1), (0, 1)):
                     got = matrix_element(b, n, m, alpha, fam)
                     want = det(alpha, b, n, m)
+                    assert got == want, (fam, alpha.parts, beta.parts, n, m)
+
+
+def test_matrix_element_matches_polynomial_path():
+    # reference: Gamma_+ on the ket, then the star word on polynomial vectors
+    star = {"sp": "Ystar", "o": "Wstar"}
+    for fam in ("sp", "o"):
+        for alpha in (P((1,)), P((2, 1)), P((2, 2)), P((3, 1))):
+            for beta in (P(()), P((1,)).with_declared(1), P((1,)).with_declared(2), P((2, 1))):
+                for n, m in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1)):
+                    l = beta.declared_len
+                    if alpha.length > l + n + m:
+                        continue
+                    vec = gamma_plus(n, m, ket(alpha.with_declared(l + n + m), fam))
+                    for b in beta.padded(l):
+                        vec = apply_mode(star[fam], -b, vec)
+                    want = vacuum_coefficient(vec)
+                    got = matrix_element(beta, n, m, alpha, fam)
                     assert got == want, (fam, alpha.parts, beta.parts, n, m)
 
 
@@ -256,16 +274,16 @@ def test_straighten_validates_arguments():
         straighten((1,), "gl", "ket")
 
 
-# --- internal scaled rows stay in sync with the public rationals ---
+# --- the integer composition path behind the commutation suite ---
 
 
-def test_scaled_rows_match_fractions():
+def test_compose_matches_apply_mode_twice():
     from spochar import fock
 
-    for kind in MODE_SHAPES:
-        for k in (-2, 0, 1):
-            for mu in ((), (1,), (2, 1)):
-                entries, den = fock._mode_row_scaled(kind, k, mu)
-                got = {nu: Fraction(v, den) for nu, v in entries}
-                want = dict(fock._mode_on_basis(kind, k, mu))
-                assert got == want, (kind, k, mu)
+    for kind_out, kind_in in (("Y", "Y"), ("Y", "Ystar"), ("W", "Wstar"), ("Wstar", "W")):
+        for k_out, k_in in ((-2, 1), (0, -1), (1, 2), (-1, -1)):
+            for mu in ((), (1,), (2, 1), (1, 1, 1)):
+                rows, den = fock.compose(kind_out, k_out, kind_in, k_in, mu)
+                got = {fock.PARTS[i]: Fraction(v, den) for i, v in rows.items()}
+                want = apply_mode(kind_out, k_out, apply_mode(kind_in, k_in, {mu: 1}))
+                assert got == want, (kind_out, k_out, kind_in, k_in, mu)
