@@ -97,13 +97,21 @@ def _jt_det(
     straightened character up to sign).  `kind` picks the entry shape:
     symplectic (second term added from column l+2 on), orthogonal (second
     term subtracted from column l+1 on), or symplectic over h'_k = h_k - h_{k-2}.
-    The matrix dimension is len(alpha); the h-table always uses all n+m vars.
+    The matrix dimension is len(alpha).  The h-table over all n+m variables
+    runs exactly to the largest index an entry reads: h_k has O(k^(2n+m-1))
+    terms and tables are cached per length, so any slack is built for nothing.
     """
     dim = len(alpha)
     if dim == 0:
         return ONE
-    top = max(max(alpha), 0)
-    N = top + 2 * dim
+    # every index read is a row part plus a column part; the second term's
+    # column part peaks at its first column (l+2 for sp, l+1 for o)
+    col = max(j - b for j, b in enumerate(beta, 1))
+    if kind != "o" and dim > l + 1:
+        col = max(col, l)
+    elif kind == "o" and dim > l:
+        col = max(col, l - 1)
+    N = max(max(a - i for i, a in enumerate(alpha, 1)) + col, 0)
     hs = h_seq(HSpec(n, m, "plain"), N)
     if kind == "sp_hprime":
         hs = [_h(hs, k) - _h(hs, k - 2) for k in range(N + 1)]
@@ -212,8 +220,7 @@ def skew_det(family: str, outer: Partition, inner: Partition, n: int, m: int) ->
 def _schur(parts: tuple[int, ...], k: int) -> LaurentPoly:
     if k == 0:
         return ONE
-    top = max(max(parts), 0) if parts else 0
-    hs = h_seq_y(k, top + k)
+    hs = h_seq_y(k, parts[0] + k - 1)  # the largest index read, at i = 1, j = k
     rows = []
     for i in range(1, k + 1):
         a = parts[i - 1]

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from spochar import characters
+from spochar import characters, series
 from spochar.characters import (
     CharSpec,
     DimensionCapExceeded,
@@ -205,6 +205,88 @@ def test_schur_values():
 def test_schur_shape_too_long():
     with pytest.raises(PartitionTooLong):
         schur(P((1, 1, 1)), 2)
+
+
+# --- h-table length ---
+
+
+class _ReadLog(list):
+    """A list that records every index read through []."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+
+def _patch_tables(monkeypatch, length=None):
+    """Route characters' h-table requests through a recorder.
+
+    Each call appends (requested N, indices read).  With `length`, the table
+    handed back is built to `length` instead of the requested N.
+    """
+    calls = []
+    for name in ("h_seq", "h_seq_y"):
+        real = getattr(series, name)
+
+        def fake(first, N, real=real):
+            reads = []
+            calls.append((N, reads))
+            return _ReadLog(real(first, N if length is None else length), reads)
+
+        monkeypatch.setattr(characters, name, fake)
+    return calls
+
+
+# (kind, alpha, beta, l, n, m) as _jt_det takes them
+JT_CASES = {
+    "sp universal": ("sp", (2, 1, 0), (0, 0, 0), 0, 2, 1),
+    "o universal": ("o", (3, 1, 0), (0, 0, 0), 0, 1, 2),
+    "sp_hprime reduced": ("sp_hprime", (2, 1), (0, 0), 0, 2, 1),
+    "sp skew l=0": ("sp", (3, 1, 0), (0, 0, 0), 0, 1, 2),
+    "o skew l=1": ("o", (3, 2, 1), (1, 0, 0), 1, 1, 1),
+    "sp skew l=1": ("sp", (3, 2, 1), (1, 0, 0), 1, 1, 1),
+    "sp skew l=2": ("sp", (3, 2, 1, 0), (2, 1, 0, 0), 2, 1, 1),
+    "o skew l=2": ("o", (3, 2, 1, 0), (2, 1, 0, 0), 2, 1, 1),
+    "sp skew l=2 dim=l+1": ("sp", (2, 2, 0), (1, 1, 0), 2, 0, 1),
+    "o skew l=2 dim=l+1": ("o", (2, 2, 0), (1, 1, 0), 2, 0, 1),
+    "sp skew n=m=0": ("sp", (2, 1), (1, 0), 2, 0, 0),
+    "o skew n=m=0": ("o", (3, 1), (1, 1), 2, 0, 0),
+    # inner rows past l: only here does the second term's column offset win
+    "sp beta past l": ("sp", (3, 2, 1), (1, 3, 4), 1, 2, 0),
+    "sp beta past l dim=l+1": ("sp", (2, 2, 0), (3, 3, 3), 2, 0, 1),
+    "o beta past l dim=l+1": ("o", (3, 2, 1), (3, 3, 3), 2, 0, 1),
+    "sp seq negative": ("sp", (-1, 2), (0, 0), 0, 1, 1),
+    "o seq non-decreasing": ("o", (0, 1, 3), (0, 0, 0), 0, 2, 1),
+    "sp seq all negative": ("sp", (-3, -2), (0, 0), 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", JT_CASES.values(), ids=JT_CASES.keys())
+def test_jt_det_requests_exactly_the_h_table_it_reads(monkeypatch, case):
+    characters._jt_det.cache_clear()
+    calls = _patch_tables(monkeypatch)
+    got = characters._jt_det(*case)
+    [(N, reads)] = calls
+    assert N == max([0, *reads])
+    # the same determinant over the longer table the engine used to request
+    alpha = case[1]
+    _patch_tables(monkeypatch, length=max(max(alpha), 0) + 2 * len(alpha))
+    assert characters._jt_det.__wrapped__(*case) == got
+
+
+@pytest.mark.parametrize("parts", [(2, 1, 0), (0, 0), (3,), (1, 1, 1)])
+def test_schur_requests_exactly_the_h_table_it_reads(monkeypatch, parts):
+    characters._schur.cache_clear()
+    calls = _patch_tables(monkeypatch)
+    got = characters._schur(parts, len(parts))
+    [(N, reads)] = calls
+    assert N == max([0, *reads])
+    _patch_tables(monkeypatch, length=parts[0] + len(parts))
+    assert characters._schur.__wrapped__(parts, len(parts)) == got
 
 
 # --- bialternants and closed forms ---

@@ -1,12 +1,16 @@
 """Command-line front end: verbs, formats, config defaults, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spochar.cli import main
-from spochar.verify import CheckReport
+from spochar.verify import SUITE_NAMES, CheckReport
 
 
 def run(capsys, *argv):
@@ -277,3 +281,68 @@ def test_output_is_stable_across_runs(capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+# --- the exit-code contract under arbitrary argv ---
+
+INTS = st.integers(-2, 3).map(str)
+PARTS = st.sampled_from(
+    ["", "0", "1", "2", "1,1", "2,1", "3,1", "2,2", "3,2,1", "1,2", "-1", "2,,1", "x"]
+)
+FLAG_VALUES = {
+    "--family": st.sampled_from(["sp", "o", "so"]),
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--suite": st.sampled_from([*SUITE_NAMES, "all", "bogus"]),
+    "--grid": st.sampled_from(["{}", "[1]", '{"bogus": 1}', "x"]),
+    **dict.fromkeys(["--n", "--m", "--N", "--seed", "--eval-points"], INTS),
+    **dict.fromkeys(["--outer", "--inner", "--lambda", "--mu", "--beta", "--alpha"], PARTS),
+}
+SWITCHES = {"--count", "--pairing", "--matrix-element"}
+VERB_FLAGS = {
+    "compute": ["--family", "--n", "--m", "--outer", "--inner"],
+    "verify": ["--suite", "--grid", "--seed", "--eval-points"],
+    "gt": ["--lambda", "--n", "--count"],
+    "fock": [
+        "--pairing", "--matrix-element", "--mu", "--lambda", "--beta", "--alpha",
+        "--n", "--m", "--family",
+    ],
+    "newton": ["--n", "--m", "--N"],
+}
+GARBAGE = st.sampled_from(["bogus", "--bogus", "--", "-", "[1]", "1.5", "--n=1", "-h", "3"])
+# verify runs every suite it is given, so its last --grid keeps each run small
+small_grids = st.fixed_dictionaries(
+    {
+        "max_weight": st.integers(0, 1),
+        "n_range": st.lists(st.integers(0, 1), min_size=2, max_size=2),
+        "m_range": st.lists(st.integers(0, 1), min_size=2, max_size=2),
+    }
+)
+
+
+@st.composite
+def argvs(draw):
+    verb = draw(st.sampled_from(list(VERB_FLAGS)))
+    argv = [verb]
+    flags = [*VERB_FLAGS[verb], "--format"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=8, unique=True)):
+        argv.append(flag)
+        if flag not in SWITCHES:
+            value = FLAG_VALUES[flag]  # three times in four a value of its kind
+            argv.append(draw(st.one_of(value, value, value, GARBAGE)))
+    for token in draw(st.lists(GARBAGE, max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    if verb == "verify":
+        argv += ["--grid", json.dumps(draw(small_grids))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argvs())
+def test_exit_code_contract_holds_for_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:  # only an identity check can fail
+        assert argv[0] in ("verify", "newton"), argv
