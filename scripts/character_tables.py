@@ -11,7 +11,6 @@ Examples:
 
 import argparse
 import sys
-from fractions import Fraction
 
 from spochar.characters import o_universal, sp_universal
 from spochar.partitions import enumerate_partitions
@@ -34,8 +33,7 @@ def main() -> int:
         print(f"family {name}, n={args.n}, m={args.m}")
         for lam in shapes:
             c = fn(lam, args.n, args.m)
-            point = {v: Fraction(1) for v in c.variables()}
-            dim = c.evaluate(point) if c.variables() else c.constant_value()
+            dim = c.evaluate({v: 1 for v in c.variables()})
             label = ",".join(map(str, lam.parts)) or "-"
             print(f"  ({label:<8})  dim {str(dim):>6}   {c.text()}")
         print()

@@ -92,14 +92,16 @@ def _jt_det(
 ) -> LaurentPoly:
     """Jacobi-Trudi style determinant shared by all h-based characters.
 
-    `alpha` and `beta` are padded to the full dimension l+n+m; `alpha` may be
-    an arbitrary integer sequence (the determinant then vanishes or matches a
-    straightened character up to sign).  `kind` picks the entry shape:
-    symplectic (second term added from column l+2 on), orthogonal (second
-    term subtracted from column l+1 on), or symplectic over h'_k = h_k - h_{k-2}.
-    The matrix dimension is len(alpha).  The h-table over all n+m variables
-    runs exactly to the largest index an entry reads: h_k has O(k^(2n+m-1))
-    terms and tables are cached per length, so any slack is built for nothing.
+    `alpha` indexes the rows and `beta` the columns; the caller picks their
+    common length, which is the matrix dimension (l+n+m for skew characters,
+    the shape's own length for universal ones).  `alpha` may be an arbitrary
+    integer sequence (the determinant then vanishes or matches a straightened
+    character up to sign).  `kind` picks the entry shape: symplectic (second
+    term added from column l+2 on), orthogonal (second term subtracted from
+    column l+1 on), or symplectic over h'_k = h_k - h_{k-2}.  The h-table
+    over all n+m variables runs exactly to the largest index an entry reads:
+    h_k has O(k^(2n+m-1)) terms and tables are cached per length, so any
+    slack is built for nothing.
     """
     dim = len(alpha)
     if dim == 0:
@@ -143,61 +145,50 @@ def _check_universal(lam: Partition, n: int, m: int) -> None:
 def sp_universal(lam: Partition, n: int, m: int) -> LaurentPoly:
     """Universal symplectic character in (x_1..x_n)^{+-} and z_1..z_m."""
     _check_universal(lam, n, m)
-    return _jt_det("sp", lam.padded(n + m), (0,) * (n + m), 0, n, m).require_integer()
+    return universal_det("sp", lam.parts, n, m).require_integer()
 
 
 def o_universal(lam: Partition, n: int, m: int) -> LaurentPoly:
     """Universal orthogonal character in (x_1..x_n)^{+-} and z_1..z_m."""
     _check_universal(lam, n, m)
-    return _jt_det("o", lam.padded(n + m), (0,) * (n + m), 0, n, m).require_integer()
+    return universal_det("o", lam.parts, n, m).require_integer()
 
 
-def universal_seq(family: str, seq: Sequence[int], n: int, m: int) -> LaurentPoly:
-    """Universal determinant over an arbitrary integer index sequence."""
+def universal_det(family: str, seq: Sequence[int], n: int, m: int) -> LaurentPoly:
+    """Universal determinant over any integer sequence, at its own length.
+
+    Trailing zeros are dropped, so the matrix has one row per remaining
+    entry.  Padding would not change the value: a row appended with index 0
+    at position i reads h_{j-i} in column j (the second term's index is
+    negative there), so the padded matrix is block upper triangular and its
+    appended diagonal block is unit upper triangular.  No variable count
+    bounds the length, so the branching sums may take shapes with more rows
+    than n+m variables.
+    """
     if family not in ("sp", "o"):
         raise ValueError("family must be 'sp' or 'o'")
     seq = tuple(seq)
-    if len(seq) > n + m:
-        raise PartitionTooLong(f"{seq} needs more than {n + m} rows")
-    alpha = seq + (0,) * (n + m - len(seq))
-    return _jt_det(family, alpha, (0,) * (n + m), 0, n, m)
+    while seq and seq[-1] == 0:
+        seq = seq[:-1]
+    return _jt_det(family, seq, (0,) * len(seq), 0, n, m)
 
 
-def _skew_args(outer: Partition, inner: Partition, n: int, m: int):
-    l = inner.declared_len
-    dim = l + n + m
+def _check_skew(inner: Partition, n: int, m: int) -> None:
+    dim = inner.declared_len + n + m
     if dim > SKEW_DIM_CAP:
         raise DimensionCapExceeded(f"l + n + m = {dim} > {SKEW_DIM_CAP}")
-    if outer.length > dim:
-        raise PartitionTooLong(f"{outer.parts} needs more than {dim} rows")
-    return outer.padded(dim), inner.padded(dim), l
 
 
 def sp_skew(outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
     """Skew universal symplectic character; zero unless inner fits in outer."""
-    alpha, beta, l = _skew_args(outer, inner, n, m)
-    return _jt_det("sp", alpha, beta, l, n, m).require_integer()
+    _check_skew(inner, n, m)
+    return skew_det("sp", outer, inner, n, m).require_integer()
 
 
 def o_skew(outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
     """Skew universal orthogonal character; zero unless inner fits in outer."""
-    alpha, beta, l = _skew_args(outer, inner, n, m)
-    return _jt_det("o", alpha, beta, l, n, m).require_integer()
-
-
-def universal_det(family: str, lam: Partition, dim: int, n: int, m: int) -> LaurentPoly:
-    """Vacuum-side determinant at an explicit dimension dim >= len(lam).
-
-    The value does not depend on dim: every appended row is (0,...,0,1), so
-    the determinant is stable under padding.  This extends the universal
-    characters to shapes with more rows than n+m variables, which the
-    branching sums need for their left factors.
-    """
-    if family not in ("sp", "o"):
-        raise ValueError("family must be 'sp' or 'o'")
-    if dim < lam.length:
-        raise PartitionTooLong(f"{lam.parts} needs more than {dim} rows")
-    return _jt_det(family, lam.padded(dim), (0,) * dim, 0, n, m)
+    _check_skew(inner, n, m)
+    return skew_det("o", outer, inner, n, m).require_integer()
 
 
 def skew_det(family: str, outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:

@@ -8,12 +8,11 @@ fixed total order on monomials.  The order -- graded by total degree, ties
 broken by comparing the sorted ``(variable, exponent)`` sequences -- is a
 module constant so that text and JSON output are byte-stable across runs.
 
-Variables come in five families, ordered ``x < z < y < t < aux``; a variable
-is identified by ``(family, index)``.  The ``x`` family is the one used with
+Variables come in four families, ordered ``x < z < y < t``; a variable is
+identified by ``(family, index)``.  The ``x`` family is the one used with
 inverted exponents by the character formulas, ``z`` holds the extra plain
-variables, ``y`` is reserved for Schur/Cauchy expansions, ``t`` for the
-square-root substitution x_i = t_i^2, and ``aux`` for internal formal series
-variables.
+variables, ``y`` is reserved for Schur/Cauchy expansions, and ``t`` for the
+square-root substitution x_i = t_i^2.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
-FAMILY_NAMES: tuple[str, ...] = ("x", "z", "y", "t", "aux")
+FAMILY_NAMES: tuple[str, ...] = ("x", "z", "y", "t")
 
 
 class NonSquareMatrix(ValueError):
@@ -90,10 +89,6 @@ def yvar(i: int) -> VarName:
 
 def tvar(i: int) -> VarName:
     return var("t", i)
-
-
-def auxvar(i: int) -> VarName:
-    return var("aux", i)
 
 
 # A monomial is a tuple of (variable, nonzero exponent) pairs sorted by
@@ -297,23 +292,6 @@ class LaurentPoly:
         return LaurentPoly._wrap({m: _norm_coeff(c) for m, c in out.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return _ONE
-        if k < 0:
-            if len(self._terms) != 1:
-                raise ValueError("negative powers only for single-term polynomials")
-            ((m, c),) = self._terms.items()
-            return LaurentPoly.monomial(monomial_pow(m, k), Fraction(c) ** k)
-        base, acc = self, None
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return acc
 
     def mul_truncated(self, other: "LaurentPoly", rank: int, cap: int) -> "LaurentPoly":
         """Product with terms of family-`rank` total degree above `cap` dropped."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from . import fock
+from . import fock, series
 from .characters import (
     DivisionWitnessFailed,
     ReductionMismatch,
@@ -37,7 +37,6 @@ from .characters import (
     schur,
     skew_det,
     universal_det,
-    universal_seq,
 )
 from .partitions import (
     GTChain,
@@ -169,6 +168,15 @@ class _Session:
     def ok(self) -> None:
         self.instances += 1
 
+    def witness(self, key, desc: str, fn, *args) -> None:
+        """Record fn(*args), a closed form that raises if its witness fails."""
+        try:
+            fn(*args)
+        except (DivisionWitnessFailed, ReductionMismatch) as exc:
+            self.fail(key, desc, f"witness failed: {exc}", "")
+        else:
+            self.ok()
+
     def report(self) -> CheckReport:
         self._failures.sort(key=lambda f: (f[0], f[1]))
         return CheckReport(
@@ -283,37 +291,20 @@ def check_bialternants(grid: Grid) -> CheckReport:
     cases = []
     for n in range(min(3, n_hi) + 1):
         for lam in _lams(grid.max_weight, n):
-            cases.append(("sp", lam, n, lambda l_, n_: sp_bialternant(l_, n_)))
+            cases.append(("sp", sp_bialternant, lam, n))
     for n in range(min(2, n_hi) + 1):
         for lam in _lams(grid.max_weight, n + 1):
-            cases.append(
-                ("sp_odd", lam, n, lambda l_, n_: sp_odd_bialternant(l_, n_))
-            )
+            cases.append(("sp_odd", sp_odd_bialternant, lam, n))
     for l in range(min(3, n_hi) + 1):
         for lam in _lams(grid.max_weight, l):
-            cases.append(("o_even", lam, l, lambda l_, n_: o_even_bialternant(l_, n_)))
+            cases.append(("o_even", o_even_bialternant, lam, l))
     for n in range(min(2, n_hi) + 1):
         for lam in _lams(grid.max_weight, n):
             for zv in (1, -1):
-                cases.append(
-                    (
-                        f"o_odd z={zv}",
-                        lam,
-                        n,
-                        lambda l_, n_, zv=zv: o_odd_closed(l_, n_, zv),
-                    )
-                )
-    for tag, lam, n, fn in cases:
-        try:
-            fn(lam, n)
-            ses.ok()
-        except DivisionWitnessFailed as exc:
-            ses.fail(
-                (lam.weight, tag, n),
-                f"{tag} lam={lam.parts} n={n}",
-                f"witness failed: {exc}",
-                "",
-            )
+                cases.append((f"o_odd z={zv}", o_odd_closed, lam, n, zv))
+    for tag, fn, lam, n, *rest in cases:
+        desc = f"{tag} lam={lam.parts} n={n}"
+        ses.witness((lam.weight, tag, n), desc, fn, lam, n, *rest)
     return ses.report()
 
 
@@ -322,13 +313,13 @@ def check_bialternants(grid: Grid) -> CheckReport:
 
 def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
     # The sum runs over every subshape of lam, not only those short enough to
-    # fit the leftover alphabet: the left factor is the vacuum-side
-    # determinant at the subshape's own length (stable under padding, and for
-    # plain variables nonzero even past the variable count), and the skew
-    # factor pads its inner shape to len(lam) so that the inserted bras can
-    # see every length-len(lam) component.  Truncating the sum at the leftover
-    # alphabet size drops those components and the identity fails, e.g. for
-    # lam=(1,1) over two plain variables split 1|1.
+    # fit the leftover alphabet: the left factor is the universal determinant
+    # at the subshape's own length (for plain variables nonzero even past the
+    # variable count), and the skew factor pads its inner shape to len(lam)
+    # so that the inserted bras can see every length-len(lam) component.
+    # Truncating the sum at the leftover alphabet size drops those components
+    # and the identity fails, e.g. for lam=(1,1) over two plain variables
+    # split 1|1.
     uni = sp_universal if fam == "sp" else o_universal
     for n in n_vals:
         for m in m_vals:
@@ -345,7 +336,7 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                         rename = {xvar(i): xvar(n - k + i) for i in xmove}
                         rename.update({zvar(j): zvar(m - s + j) for j in zmove})
                         for eta in subpartitions(lam, big):
-                            inner = universal_det(fam, eta, eta.length, n - k, m - s)
+                            inner = universal_det(fam, eta.parts, n - k, m - s)
                             if inner.is_zero():
                                 continue
                             piece = skew_det(fam, lam, eta.with_declared(big), k, s)
@@ -399,7 +390,7 @@ def check_branching_odd_sp(grid: Grid) -> CheckReport:
                     want,
                 )
                 if strip:
-                    rhs = rhs + universal_det("sp", mu, mu.length, n, 0) * want
+                    rhs = rhs + universal_det("sp", mu.parts, n, 0) * want
             ses.check(
                 (lam.weight, "power-sum", n),
                 f"power collapse lam={lam.parts} n={n}",
@@ -410,15 +401,6 @@ def check_branching_odd_sp(grid: Grid) -> CheckReport:
 
 
 # -- Cauchy ------------------------------------------------------------------
-
-
-def _geometric_in_y(unit: LaurentPoly, s: int, cap: int) -> LaurentPoly:
-    acc = ONE
-    upow = ONE
-    for d in range(1, cap + 1):
-        upow = upow * unit
-        acc = acc + upow * LaurentPoly.variable(yvar(s), d)
-    return acc
 
 
 def _pair_product(count: int, strict: bool, cap: int, yrank: int) -> LaurentPoly:
@@ -434,28 +416,20 @@ def _pair_product(count: int, strict: bool, cap: int, yrank: int) -> LaurentPoly
 
 
 def _cauchy_rhs(n: int, m: int, ycount: int, strict: bool, cap: int) -> LaurentPoly:
+    # prod over the alphabet of 1/(1 - u y_s) is sum_d h_d y_s^d
     yrank = yvar(1).rank
-    units = []
-    for i in range(1, n + 1):
-        units.append(LaurentPoly.variable(xvar(i)))
-        units.append(LaurentPoly.variable(xvar(i), -1))
-    for j in range(1, m + 1):
-        units.append(LaurentPoly.variable(zvar(j)))
+    hs = series.h_seq(HSpec(n, m), cap)
     acc = _pair_product(ycount, strict, cap, yrank)
     for s in range(1, ycount + 1):
-        for unit in units:
-            acc = acc.mul_truncated(_geometric_in_y(unit, s, cap), yrank, cap)
+        ys = sum((h * LaurentPoly.variable(yvar(s), d) for d, h in enumerate(hs)), ZERO)
+        acc = acc.mul_truncated(ys, yrank, cap)
     return acc
 
 
 def _cauchy_lhs(char_fn, n: int, m: int, ycount: int, cap: int) -> LaurentPoly:
     acc = ZERO
-    for w in range(cap + 1):
-        for parts in partitions_of(w):
-            if len(parts) > ycount:
-                continue
-            lam = Partition(parts)
-            acc = acc + char_fn(lam, n, m) * schur(lam, ycount)
+    for lam in _lams(cap, ycount):
+        acc = acc + char_fn(lam, n, m) * schur(lam, ycount)
     return acc
 
 
@@ -553,7 +527,7 @@ def check_transition_odd(grid: Grid) -> CheckReport:
                             (lam.weight, f"{family}-drop", n, seq),
                             f"{family} dropped term lam={lam.parts} n={n}"
                             f" eps={list(eps)}",
-                            universal_seq(family, seq, n + 1, 0),
+                            universal_det(family, seq, n + 1, 0),
                             ZERO,
                         )
                 ses.check(
@@ -582,9 +556,8 @@ def check_gt_sum(grid: Grid) -> CheckReport:
                 total,
                 rhs,
             )
-            ones = {v: Fraction(1) for v in rhs.variables()}
-            dim = rhs.evaluate(ones) if rhs.variables() else rhs.constant_value()
-            if Fraction(len(chains)) == Fraction(dim):
+            dim = rhs.evaluate({v: 1 for v in rhs.variables()})
+            if len(chains) == dim:
                 ses.ok()
             else:
                 ses.fail(
@@ -635,30 +608,26 @@ def check_reductions(grid: Grid) -> CheckReport:
     for n in range(grid.n_range[0], grid.n_range[1] + 1):
         for m in m_vals:
             for lam in _lams(grid.max_weight, n):
-                try:
-                    o_intermediate_reduce(lam, n, m)
-                    ses.ok()
-                except ReductionMismatch as exc:
-                    ses.fail(
-                        (lam.weight, "reduce", n, m),
-                        f"reduce lam={lam.parts} n={n} m={m}",
-                        str(exc),
-                        "",
-                    )
+                ses.witness(
+                    (lam.weight, "reduce", n, m),
+                    f"reduce lam={lam.parts} n={n} m={m}",
+                    o_intermediate_reduce,
+                    lam,
+                    n,
+                    m,
+                )
     # (c) closed odd-orthogonal forms at z = +-1
     for n in range(min(2, grid.n_range[1]) + 1):
         for lam in _lams(grid.max_weight, n):
             for zv in (1, -1):
-                try:
-                    o_odd_closed(lam, n, zv)
-                    ses.ok()
-                except DivisionWitnessFailed as exc:
-                    ses.fail(
-                        (lam.weight, "o_odd", n, zv),
-                        f"o_odd lam={lam.parts} n={n} z={zv}",
-                        str(exc),
-                        "",
-                    )
+                ses.witness(
+                    (lam.weight, "o_odd", n, zv),
+                    f"o_odd lam={lam.parts} n={n} z={zv}",
+                    o_odd_closed,
+                    lam,
+                    n,
+                    zv,
+                )
     # (d) plain-block permutation stability for zero-padded shapes
     for n in range(grid.n_range[0], grid.n_range[1] + 1):
         for m in m_vals:

@@ -9,6 +9,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spochar import characters, series
 from spochar.characters import (
@@ -29,7 +31,6 @@ from spochar.characters import (
     sp_skew,
     sp_universal,
     universal_det,
-    universal_seq,
 )
 from spochar.partitions import Partition, enumerate_partitions, interlaces, subpartitions
 from spochar.ring import LaurentPoly, xvar, zvar
@@ -156,8 +157,8 @@ def test_row_permutation_sign_rule():
 
 def test_seq_with_repeated_shifted_weight_vanishes():
     # equal shifted weights mean equal rows
-    assert universal_seq("sp", (1, 2, 0), 1, 2) == ZERO
-    assert universal_seq("o", (0, 1), 1, 1) == ZERO
+    assert universal_det("sp", (1, 2, 0), 1, 2) == ZERO
+    assert universal_det("o", (0, 1), 1, 1) == ZERO
 
 
 # --- vacuum-side and uncapped determinant variants ---
@@ -166,24 +167,48 @@ def test_seq_with_repeated_shifted_weight_vanishes():
 def test_universal_det_matches_public_form():
     for lam in enumerate_partitions(3, 4):
         want = sp_universal(lam, 2, 1)
-        assert universal_det("sp", lam, 3, 2, 1) == want
-        assert universal_det("o", lam, 3, 2, 1) == o_universal(lam, 2, 1)
+        assert universal_det("sp", lam.parts, 2, 1) == want
+        assert universal_det("sp", lam.padded(3), 2, 1) == want
+        assert universal_det("o", lam.parts, 2, 1) == o_universal(lam, 2, 1)
 
 
-def test_universal_det_padding_stable():
-    lam = P((2, 1))
-    for fam in ("sp", "o"):
-        base = universal_det(fam, lam, 2, 1, 1)
-        for dim in (3, 4, 5):
-            assert universal_det(fam, lam, dim, 1, 1) == base
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["sp", "o", "sp_hprime"]),
+    st.lists(st.integers(-2, 3), max_size=3).map(tuple),
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+)
+def test_universal_det_padding_stable(kind, seq, nm):
+    # appended zero rows leave a block triangular matrix with a unit
+    # triangular tail, so any integer sequence has one value at every length
+    n, m = nm
+    values = [
+        characters._jt_det(kind, seq + (0,) * p, (0,) * (len(seq) + p), 0, n, m)
+        for p in range(3)
+    ]
+    assert values[0] == values[1] == values[2], (kind, seq, n, m)
 
 
 def test_universal_det_survives_past_variable_count():
     # two rows over a single plain variable: not expressible as a 1x1
-    # determinant, but the padded form is still well-defined and nonzero
-    assert universal_det("sp", P((1, 1)), 2, 0, 1) == MINUS
+    # determinant, but the determinant at the shape's length is nonzero;
+    # the public entry still rejects the shape
+    assert universal_det("sp", (1, 1), 0, 1) == MINUS
     with pytest.raises(PartitionTooLong):
-        universal_det("sp", P((1, 1)), 1, 0, 1)
+        sp_universal(P((1, 1)), 0, 1)
+
+
+def test_universal_builds_the_matrix_at_the_shape_length(monkeypatch):
+    alphas = []
+    real = characters._jt_det
+
+    def record(kind, alpha, *rest):
+        alphas.append(alpha)
+        return real(kind, alpha, *rest)
+
+    monkeypatch.setattr(characters, "_jt_det", record)
+    sp_universal(P((2, 1)), 2, 1)
+    assert [len(a) for a in alphas] == [2]
 
 
 def test_skew_det_matches_public_form():

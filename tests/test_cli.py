@@ -4,6 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +202,39 @@ def test_fock_output_is_byte_stable(capsys, flags, text, json_sha256):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+
+
+# scripts/character_tables.py --n 1 --m 1 --max-weight 2, recorded before its
+# dimension column was simplified
+TABLES_TEXT = """\
+family sp, n=1, m=1
+  (-       )  dim      1   1
+  (1       )  dim      3   z1 + x1 + x1^-1
+  (2       )  dim      6   z1^2 + x1^2 + x1*z1 + x1^-1*z1 + 1 + x1^-2
+  (1,1     )  dim      2   x1*z1 + x1^-1*z1
+
+family o, n=1, m=1
+  (-       )  dim      1   1
+  (1       )  dim      3   z1 + x1 + x1^-1
+  (2       )  dim      5   z1^2 + x1^2 + x1*z1 + x1^-1*z1 + x1^-2
+  (1,1     )  dim      3   x1*z1 + x1^-1*z1 + 1
+
+"""
+
+
+def test_character_tables_script_output_is_stable():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["--n", "1", "--m", "1", "--max-weight", "2"]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "character_tables.py"), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == TABLES_TEXT
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
