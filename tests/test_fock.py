@@ -4,6 +4,7 @@ matrix_element doubles as the independent oracle for the determinant engine,
 so the two are compared directly here on a small sample.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from spochar.fock import (
     vacuum,
     vacuum_coefficient,
 )
-from spochar.partitions import Partition, enumerate_partitions
+from spochar.partitions import Partition, enumerate_partitions, partitions_of
 from spochar.ring import LaurentPoly
 
 P = Partition
@@ -96,6 +97,43 @@ def test_negative_mode_creates_single_row():
 
 def test_mode_catalog_is_closed():
     assert set(MODE_SHAPES) == {"Y", "Ystar", "W", "Wstar"}
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _vector_line(label, vec):
+    text = lambda c: c.text() if isinstance(c, LaurentPoly) else str(c)
+    return f"{label}: " + " ".join(f"{nu}={text(vec[nu])}" for nu in sorted(vec))
+
+
+# sha256 of the rows below, recorded before the annihilation exponential was
+# rewritten as a Taylor shift
+MODE_ROWS_SHA256 = "311f9853d3cc8bc46106aae1353aa70cd3b7ba6caa4260b638fe6911c20e8e5d"
+GAMMA_PLUS_SHA256 = "278f60b2d3608e4a94005dfd66736f12d4c0874960bf0584eee31545621bafc7"
+
+
+def test_mode_rows_are_pinned():
+    lines = [
+        _vector_line(f"{kind} {k} {mu}", apply_mode(kind, k, {mu: 1}))
+        for kind in MODE_SHAPES
+        for k in range(-4, 5)
+        for w in range(5)
+        for mu in partitions_of(w)
+    ]
+    assert len(lines) == 432
+    assert _digest(lines) == MODE_ROWS_SHA256
+
+
+def test_gamma_plus_is_pinned():
+    lines = [
+        _vector_line(f"{parts} {fam} {n} {m}", gamma_plus(n, m, ket(P(parts), fam)))
+        for parts in ((), (1,), (2, 1), (2, 2), (3, 1), (2, 1, 1))
+        for fam in ("sp", "o")
+        for n, m in ((1, 0), (0, 2), (1, 1), (2, 1))
+    ]
+    assert _digest(lines) == GAMMA_PLUS_SHA256
 
 
 def test_ket_basics():
