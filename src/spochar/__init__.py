@@ -25,7 +25,6 @@ from .characters import (
 )
 from .fock import (
     FockVector,
-    StraighteningDiverged,
     ZeroModeRequested,
     apply_mode,
     gamma_plus,
@@ -33,9 +32,7 @@ from .fock import (
     ket,
     matrix_element,
     pairing,
-    straighten,
     vacuum,
-    vacuum_coefficient,
 )
 from .partitions import (
     EMPTY,

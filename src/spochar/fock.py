@@ -13,26 +13,24 @@ X_k is the w^{target}-coefficient of
                   * exp(sa * sum_n a_n/n * (w^n + w^{-n}))
 
 where pre(w) is 1 or (1 - w^2) and target is +-k, per the table below.  The
-annihilation stage is computed once per basis vector and cached; the mode
-action on a basis vector is cached once per (kind, k, basis) triple as
-integers over one denominator, keyed by interned partition ids (`pid`), so
-large verification grids share almost all of the work.
+half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z)) is the only
+place the character variables enter: it maps a rational ket to
+Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
+contracts those against rational bra coefficients.
 
-Only the half-current Gamma_+(x, z) brings in the character variables: it
-maps a rational ket to Laurent-polynomial coefficients, and a matrix element
-<beta|Gamma_+|alpha> contracts those against rational bra coefficients.
-
-Everything is exact: w-series are dicts over integer powers with Fraction
-values, and no truncation is ever applied (each exponential terminates on a
-given vector because annihilation removes parts and extraction bounds the
-creation weight).
+Both annihilation exponentials are one Taylor shift p_r -> p_r + c_r, read
+from the cached split table `_splits`; the mode action on a basis vector is
+cached once per (kind, k, basis) triple as integers over one denominator,
+keyed by interned partition ids (`pid`), so large verification grids share
+almost all of the work.  Everything is exact and nothing is truncated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from itertools import product
+from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 from .partitions import Partition, PartitionTooLong, partitions_of
@@ -42,15 +40,11 @@ from .ring import ONE, ZERO, LaurentPoly, xvar, zvar
 # operations below use only +, * and truthiness, so they accept either.
 FockVector = dict[tuple[int, ...], int | Fraction | LaurentPoly]
 
-WPoly = dict[int, Fraction]
+WPoly = dict[int, int]  # an integer Laurent polynomial in w: {power: coeff}
 
 
 class ZeroModeRequested(ValueError):
     """The Heisenberg index 0 is central and has no action here."""
-
-
-class StraighteningDiverged(RuntimeError):
-    """The straightening rewrite exceeded its iteration allowance."""
 
 
 class ModeShape(NamedTuple):
@@ -75,10 +69,6 @@ _PLAIN_OF = {"sp": "Y", "o": "W"}
 
 def vacuum() -> FockVector:
     return {(): 1}
-
-
-def vacuum_coefficient(vec: FockVector):
-    return vec.get((), 0)
 
 
 # Interned partition ids: mode rows are keyed by them, so compositions
@@ -154,105 +144,78 @@ def _conv(a: WPoly, b: WPoly) -> WPoly:
     return out
 
 
-_PREFACTOR: WPoly = {0: Fraction(1), 2: Fraction(-1)}
-
-
 @lru_cache(maxsize=None)
-def _stages_core(sa: int, mu: tuple[int, ...]):
-    """The annihilation exponential applied to p_mu, keyed by sign only.
+def _splits(rho: tuple[int, ...]):
+    """Every split of p_rho by the Taylor shift, as ((kappa, rest, int), ...).
 
-    Returns ((nu, ((power, coeff), ...)), ...): for each surviving basis
-    vector nu, the w-Laurent polynomial it carries before creation acts.
-    Two mode kinds share each sign, so this layer halves the Taylor work.
+    Since a_r acts as r * d/dp_r, exp(sum_r a_r c_r / r) = exp(sum_r c_r d/dp_r)
+    is the shift p_r -> p_r + c_r, so
+
+        exp(sum_r a_r c_r / r) p_rho = prod_{r in rho} (p_r + c_r)
+            = sum_{kappa <= rho} prod_r C(m_r(rho), m_r(kappa)) p_{rho - kappa} c_kappa
+
+    over sub-multisets kappa of rho's parts, with c_kappa = prod_{r in kappa} c_r.
+    The coefficient counts the ways to pick kappa's copies of each part among
+    rho's, so it is an integer: no 1/j! survives the expansion.  Both the
+    modes (c_r = +-(w^r + w^-r)) and Gamma_+ (c_r = p_r(x^{+-1}, z)) read it.
     """
-    total: dict[tuple[int, ...], WPoly] = {mu: {0: Fraction(1)}}
-    t = {mu: {0: Fraction(1)}}
-    j = 0
-    while t:
-        j += 1
-        nxt: dict[tuple[int, ...], WPoly] = {}
-        for nu, wp in t.items():
-            for n in set(nu):
-                mn = nu.count(n)
-                child = _remove_part(nu, n)
-                cwp = nxt.setdefault(child, {})
-                for p, q in wp.items():
-                    step = Fraction(sa * mn, j) * q
-                    for dp in (n, -n):
-                        key = p + dp
-                        val = cwp.get(key, 0) + step
-                        if val:
-                            cwp[key] = val
-                        elif key in cwp:
-                            del cwp[key]
-        t = {nu: wp for nu, wp in nxt.items() if wp}
-        total.update(t)  # the j-th term has j parts fewer, so no key repeats
-    return tuple(
-        (nu, tuple(sorted(wp.items()))) for nu, wp in total.items() if wp
-    )
+    mults = [(r, rho.count(r)) for r in sorted(set(rho), reverse=True)]
+    out = []
+    for picks in product(*(range(m + 1) for _, m in mults)):
+        kappa = tuple(r for (r, _), j in zip(mults, picks) for _ in range(j))
+        rest = tuple(r for (r, m), j in zip(mults, picks) for _ in range(m - j))
+        out.append((kappa, rest, prod(comb(m, j) for (_, m), j in zip(mults, picks))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _stages(kind: str, mu: tuple[int, ...]):
-    """The annihilation exponential and prefactor applied to p_mu."""
+def _annihilation_wpoly(kind: str, kappa: tuple[int, ...]):
+    """pre(w) * prod_{r in kappa} sa * (w^r + w^-r), as ((power, int), ...)."""
     shape = MODE_SHAPES[kind]
-    rows = _stages_core(shape.annihilation_sign, mu)
-    if not shape.prefactor:
-        return rows
-    return tuple(
-        (nu, tuple(sorted(_conv(dict(wp), _PREFACTOR).items()))) for nu, wp in rows
-    )
+    sa = shape.annihilation_sign
+    wp: WPoly = {0: 1, 2: -1} if shape.prefactor else {0: 1}
+    for r in kappa:
+        wp = _conv(wp, {r: sa, -r: sa})
+    return tuple(sorted(wp.items()))
 
 
 @lru_cache(maxsize=None)
 def _zlcm(c: int) -> int:
     """lcm of the symmetrization factors over all partitions of c."""
-    out = 1
-    for parts in partitions_of(c):
-        z = _zfactor(parts)
-        out = out * z // gcd(out, z)
-    return out
+    return lcm(*map(_zfactor, partitions_of(c)))
 
 
 @lru_cache(maxsize=None)
 def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]):
     """X_k p_mu as (((pid(nu), int), ...), denominator).
 
-    Integer coefficients over one shared denominator keep the large
-    verification loops out of Fraction arithmetic.
+    The annihilation stage is integral (see `_splits`), so the one shared
+    denominator comes from the creation exponential alone, and the large
+    verification loops stay out of Fraction arithmetic.
     """
     shape = MODE_SHAPES[kind]
     target = shape.target_sign * k
-    sc = shape.creation_sign
-    rows = _stages(kind, mu)
-    den = 1
-    zl = 1
-    for _, wp in rows:
-        for p, q in wp:
-            if target - p < 0:
-                continue
-            d = q.denominator
-            den = den * d // gcd(den, d)
-            z = _zlcm(target - p)
-            zl = zl * z // gcd(zl, z)
+    # (rest, coefficient, w-degree left for the creation exponential)
+    terms = [
+        (rest, c * q, target - p)
+        for kappa, rest, c in _splits(mu)
+        for p, q in _annihilation_wpoly(kind, kappa)
+        if p <= target
+    ]
+    zl = lcm(*(_zlcm(deg) for _, _, deg in terms))
     acc: dict[tuple[int, ...], int] = {}
-    for rho, wp in rows:
-        for p, q in wp:
-            c = target - p
-            if c < 0:
-                continue
-            qi = q.numerator * (den // q.denominator)
-            for parts in partitions_of(c):
-                coeff = qi * (zl // _zfactor(parts))
-                if sc < 0 and len(parts) % 2:
-                    coeff = -coeff
-                key = tuple(sorted(rho + parts, reverse=True))
-                val = acc.get(key, 0) + coeff
-                if val:
-                    acc[key] = val
-                elif key in acc:
-                    del acc[key]
-    return tuple((pid(nu), v) for nu, v in acc.items()), den * zl
+    for rest, q, deg in terms:
+        for parts in partitions_of(deg):
+            coeff = q * (zl // _zfactor(parts))
+            if shape.creation_sign < 0 and len(parts) % 2:
+                coeff = -coeff
+            key = tuple(sorted(rest + parts, reverse=True))
+            val = acc.get(key, 0) + coeff
+            if val:
+                acc[key] = val
+            elif key in acc:
+                del acc[key]
+    return tuple((pid(nu), v) for nu, v in acc.items()), zl
 
 
 def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
@@ -270,22 +233,18 @@ def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
 def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
     """X_out X_in p_mu as ({pid(nu): int}, denominator), in integers only."""
     inner, d_in = _mode_row_scaled(kind_in, k_in, mu)
-    pieces = []
-    lcm = 1
-    for i, qi in inner:
-        entries, s = _mode_row_scaled(kind_out, k_out, PARTS[i])
-        pieces.append((qi, entries, s))
-        lcm = lcm * s // gcd(lcm, s)
+    pieces = [(qi, *_mode_row_scaled(kind_out, k_out, PARTS[i])) for i, qi in inner]
+    den = lcm(*(s for _, _, s in pieces))
     out: dict[int, int] = {}
     for qi, entries, s in pieces:
-        f = qi * (lcm // s)
+        f = qi * (den // s)
         for rid, ri in entries:
             val = out.get(rid, 0) + f * ri
             if val:
                 out[rid] = val
             elif rid in out:
                 del out[rid]
-    return out, d_in * lcm
+    return out, d_in * den
 
 
 @lru_cache(maxsize=None)
@@ -318,26 +277,18 @@ def _power_sum_value(n: int, m: int, k: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _gamma_on_basis(n: int, m: int, rho: tuple[int, ...]):
-    """exp(sum_k a_k/k * p_k(vars)) applied to p_rho, as ((nu, poly), ...)."""
-    t = {rho: ONE}
-    total = dict(t)
-    j = 0
-    while t:
-        j += 1
-        # integer rows, then one 1/j per term: fewer Fraction products
-        t = _linear(t, lambda nu: [
-            (_remove_part(nu, k), _power_sum_value(n, m, k) * nu.count(k))
-            for k in set(nu)
-        ])
-        t = {nu: f * Fraction(1, j) for nu, f in t.items()}
-        total.update(t)  # the j-th term has j parts fewer, so no key repeats
-    return tuple(total.items())
+def _power_sum_product(n: int, m: int, kappa: tuple[int, ...]) -> LaurentPoly:
+    """P_kappa = prod_{r in kappa} p_r(x^{+-1}, z): Gamma_+'s c_kappa in `_splits`."""
+    if not kappa:
+        return ONE
+    return _power_sum_product(n, m, kappa[:-1]) * _power_sum_value(n, m, kappa[-1])
 
 
 def gamma_plus(n: int, m: int, vec: FockVector) -> FockVector:
     """Apply the annihilation half-current evaluated on the character alphabet."""
-    return _linear(vec, lambda rho: _gamma_on_basis(n, m, rho))
+    return _linear(vec, lambda rho: [
+        (rest, _power_sum_product(n, m, kappa) * c) for kappa, rest, c in _splits(rho)
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -365,12 +316,18 @@ def matrix_element(
     if alpha.length > l + n + m:
         raise PartitionTooLong(f"{alpha.parts} needs more than {l + n + m} rows")
     star, word = _STAR_OF[family], beta.padded(l)
-    out = ZERO
+    # contract the rational scalars per removed multiset kappa first, then
+    # scale-add each distinct P_kappa once
+    scalars: dict[tuple[int, ...], Fraction] = {}
     for rho, f in ket(alpha.with_declared(l + n + m), family).items():
-        for nu, g in _gamma_on_basis(n, m, rho):
-            c = f * _bra_on_basis(star, word, nu)
-            if c:
-                out = out + g * c
+        for kappa, rest, c in _splits(rho):
+            s = f * c * _bra_on_basis(star, word, rest)
+            if s:
+                scalars[kappa] = scalars.get(kappa, 0) + s
+    out = ZERO
+    for kappa, s in scalars.items():
+        if s:
+            out = out + _power_sum_product(n, m, kappa) * s
     return out
 
 
@@ -378,67 +335,3 @@ def pairing(mu: Partition, lam: Partition, family: str) -> LaurentPoly:
     """<mu|lam> without any current insertion; delta_{mu,lam} when all is well."""
     length = max(mu.declared_len, lam.declared_len, mu.length, lam.length)
     return matrix_element(mu.with_declared(length), 0, 0, lam, family)
-
-
-# -- straightening -----------------------------------------------------------
-
-
-def straighten(ns, family: str = "sp", side: str = "ket"):
-    """Normalize a mode word to a signed partition.
-
-    ket side: the word X_{n_1} ... X_{n_L}|0> is rewritten (via the quadratic
-    exchange rules) until the indices weakly increase; the result is
-    (sign, Partition(-n_1, ..., -n_L)) or (0, empty) when the word vanishes.
-
-    bra side: <0| X*_{s_1} ... X*_{s_L} is rewritten until the indices weakly
-    decrease and the leading index is nonpositive; the boundary rule depends
-    on the family.  Returns (sign, Partition(reversed(-s))).
-    """
-    word = list(ns)
-    if side not in ("ket", "bra"):
-        raise ValueError("side must be 'ket' or 'bra'")
-    if family not in ("sp", "o"):
-        raise ValueError("family must be 'sp' or 'o'")
-    sign = 1
-    budget = 10000 + 100 * len(word) * len(word)
-    while budget > 0:
-        budget -= 1
-        changed = False
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if side == "ket":
-                if a > b:
-                    if a == b + 1:
-                        return 0, Partition((), declared_len=len(word))
-                    word[i], word[i + 1] = b + 1, a - 1
-                    sign = -sign
-                    changed = True
-                    break
-            else:
-                if a < b:
-                    if b == a + 1:
-                        return 0, Partition((), declared_len=len(word))
-                    word[i], word[i + 1] = b - 1, a + 1
-                    sign = -sign
-                    changed = True
-                    break
-        if changed:
-            continue
-        if side == "ket":
-            if word and word[-1] > 0:
-                return 0, Partition((), declared_len=len(word))
-            parts = tuple(-v for v in word)
-            return sign, Partition(parts, declared_len=len(word))
-        # bra: sorted weakly decreasing; fix the boundary index
-        if word and word[0] > 0:
-            if family == "sp":
-                if word[0] == 1:
-                    return 0, Partition((), declared_len=len(word))
-                word[0] = 2 - word[0]
-                sign = -sign
-            else:
-                word[0] = -word[0]
-            continue
-        parts = tuple(-v for v in reversed(word))
-        return sign, Partition(parts, declared_len=len(word))
-    raise StraighteningDiverged(f"no normal form after rewriting {list(ns)}")

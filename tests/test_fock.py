@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from spochar.characters import o_skew, skew_det, sp_skew
+from spochar.characters import o_skew, sp_skew
 from spochar.fock import (
     MODE_SHAPES,
     ZeroModeRequested,
@@ -19,12 +19,10 @@ from spochar.fock import (
     ket,
     matrix_element,
     pairing,
-    straighten,
     vacuum,
-    vacuum_coefficient,
 )
 from spochar.partitions import Partition, enumerate_partitions, partitions_of
-from spochar.ring import LaurentPoly
+from spochar.ring import LaurentPoly, xvar, zvar
 
 P = Partition
 ONE = LaurentPoly.one()
@@ -171,10 +169,33 @@ def test_gamma_plus_fixes_vacuum():
     assert gamma_plus(2, 1, vacuum()) == vacuum()
 
 
+def test_gamma_plus_is_the_exponential_of_its_annihilators():
+    # reference: sum_j (1/j!) D^j p_rho with D = sum_k p_k(x^{+-1}, z) a_k / k,
+    # each a_k applied by `heisenberg`
+    for n, m in ((1, 0), (0, 2), (1, 1), (2, 1)):
+        def p(k):
+            xs = [LaurentPoly.variable(xvar(i), e) for i in range(1, n + 1) for e in (k, -k)]
+            return sum(xs + [LaurentPoly.variable(zvar(j), k) for j in range(1, m + 1)], ZERO)
+
+        for w in range(6):
+            for rho in partitions_of(w):
+                want, term, j = {}, {rho: ONE}, 0
+                while term:
+                    for nu, f in term.items():  # the j-th term has j parts fewer
+                        want[nu] = f
+                    j += 1
+                    nxt = {}
+                    for k in range(1, w + 1):
+                        for nu, f in heisenberg(term, k).items():
+                            nxt[nu] = nxt.get(nu, ZERO) + f * p(k) * Fraction(1, k * j)
+                    term = {nu: f for nu, f in nxt.items() if f}
+                assert gamma_plus(n, m, {rho: 1}) == want, (n, m, rho)
+
+
 def test_gamma_plus_strips_one_box():
-    got = vacuum_coefficient(gamma_plus(1, 0, ket(P((1,)), "sp")))
+    got = gamma_plus(1, 0, ket(P((1,)), "sp")).get((), 0)
     assert got.text() == "x1 + x1^-1"
-    got = vacuum_coefficient(gamma_plus(1, 1, ket(P((1,)), "sp")))
+    got = gamma_plus(1, 1, ket(P((1,)), "sp")).get((), 0)
     assert got.text() == "z1 + x1 + x1^-1"
 
 
@@ -210,7 +231,7 @@ def test_matrix_element_matches_polynomial_path():
                     vec = gamma_plus(n, m, ket(alpha.with_declared(l + n + m), fam))
                     for b in beta.padded(l):
                         vec = apply_mode(star[fam], -b, vec)
-                    want = vacuum_coefficient(vec)
+                    want = vec.get((), 0)
                     got = matrix_element(beta, n, m, alpha, fam)
                     assert got == want, (fam, alpha.parts, beta.parts, n, m)
 
@@ -221,7 +242,7 @@ def test_vacuum_projection_past_variable_count():
     from spochar.characters import universal_det
 
     lam = P((1, 1))
-    got = vacuum_coefficient(gamma_plus(0, 1, ket(lam, "sp")))
+    got = gamma_plus(0, 1, ket(lam, "sp")).get((), 0)
     assert got == universal_det("sp", lam.parts, 0, 1)
     assert got == LaurentPoly.constant(Fraction(-1))
 
@@ -229,7 +250,7 @@ def test_vacuum_projection_past_variable_count():
 def test_bras_are_not_padding_independent():
     # <0| and the length-2 zero bra see different components, unlike kets
     lam = P((1, 1))
-    short = vacuum_coefficient(gamma_plus(0, 1, ket(lam, "sp")))
+    short = gamma_plus(0, 1, ket(lam, "sp")).get((), 0)
     long = matrix_element(P(()).with_declared(2), 0, 1, lam, "sp")
     assert short != long
 
@@ -238,10 +259,10 @@ def test_bras_are_not_padding_independent():
 
 
 def test_mode_reflections_under_dual_vacuum():
+    vc = lambda vec: vec.get((), 0)
     for lam in enumerate_partitions(3, 4):
         v = ket(lam, "sp")
         for n in range(-3, 4):
-            vc = vacuum_coefficient
             assert vc(apply_mode("Ystar", n, v)) == ZERO - vc(
                 apply_mode("Ystar", -n + 2, v)
             )
@@ -252,64 +273,29 @@ def test_mode_reflections_under_dual_vacuum():
             assert vc(apply_mode("Wstar", n, v)) == vc(apply_mode("Wstar", -n, v))
 
 
-# --- straightening ---
+# --- exchange relations of the creation modes ---
 
 
-def test_straighten_sorted_word_is_plus():
-    assert straighten((-2, -1)) == (1, P((2, 1)).with_declared(2))
-
-
-def test_straighten_exchange_flips_sign():
-    sign, mu = straighten((0, -3))
-    assert (sign, mu) == (-1, P((2, 1)).with_declared(2))
-
-
-def test_straighten_collision_vanishes():
-    sign, mu = straighten((-1, -2))
-    assert sign == 0
-    # the operator word itself annihilates the vacuum
-    wiped = apply_mode("Y", -1, apply_mode("Y", -2, vacuum()))
-    assert wiped == {}
-
-
-def test_straighten_trailing_positive_vanishes():
-    sign, _ = straighten((-1, 1))
-    assert sign == 0
-
-
-def test_straighten_matches_operator_action():
-    # applying the word right-to-left lands on sign * ket
-    for word, fam in [((0, -3), "sp"), ((-1, 2, -4), "sp"), ((1, -1, -2), "o")]:
-        sign, mu = straighten(word, fam)
+def test_mode_words_reduce_to_signed_kets():
+    # X_{n_1} ... X_{n_L}|0> is sign * |mu> or 0 by the quadratic exchange
+    # rules; mu = (3, 1, 0) words come from permuting the shifted parts
+    cases = [
+        ((-2, -1), "sp", 1, (2, 1)),
+        ((0, -3), "sp", -1, (2, 1)),
+        ((-1, -2), "sp", 0, ()),
+        ((-1, 1), "sp", 0, ()),
+        ((-1, 2, -4), "sp", 0, ()),
+        ((1, -1, -2), "o", 0, ()),
+        ((-3, -1, 0), "sp", 1, (3, 1)),
+        ((0, -4, 0), "sp", -1, (3, 1)),
+        ((2, -4, -2), "sp", 1, (3, 1)),
+    ]
+    for word, fam, sign, parts in cases:
         vec = vacuum()
-        kind = "Y" if fam == "sp" else "W"
         for n in reversed(word):
-            vec = apply_mode(kind, n, vec)
-        if sign == 0:
-            assert vec == {}
-        else:
-            assert vec == scaled(ket(mu, fam), sign), (word, fam)
-
-
-def test_straighten_closed_form_permutation_action():
-    mu = (3, 1, 0)
-    for sigma, eps in [((0, 1, 2), 1), ((1, 0, 2), -1), ((2, 0, 1), 1)]:
-        word = tuple(-mu[sigma[i]] + sigma[i] - i for i in range(3))
-        sign, got = straighten(word)
-        assert sign == eps and got.parts == (3, 1), (sigma, word)
-
-
-def test_straighten_bra_boundary_rules():
-    # leading positive index reflects; the two families reflect differently
-    assert straighten((3, 0), "sp", "bra")[0] == 0
-    assert straighten((3, 0), "o", "bra") == (-1, P((2, 1)).with_declared(2))
-
-
-def test_straighten_validates_arguments():
-    with pytest.raises(ValueError):
-        straighten((1,), "sp", "middle")
-    with pytest.raises(ValueError):
-        straighten((1,), "gl", "ket")
+            vec = apply_mode("Y" if fam == "sp" else "W", n, vec)
+        want = scaled(ket(P(parts), fam), sign) if sign else {}
+        assert vec == want, (word, fam)
 
 
 # --- the integer composition path behind the commutation suite ---
