@@ -7,11 +7,10 @@ the defining constraints directly.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from spochar.partitions import (
-    GTChain,
     Partition,
     PartitionTooLong,
     contains,
