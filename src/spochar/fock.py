@@ -22,7 +22,9 @@ Both annihilation exponentials are one Taylor shift p_r -> p_r + c_r, read
 from the cached split table `_splits`; the mode action on a basis vector is
 cached once per (kind, k, basis) triple as integers over one denominator,
 keyed by interned partition ids (`pid`), so large verification grids share
-almost all of the work.  Everything is exact and nothing is truncated.
+almost all of the work.  Everything is exact and nothing is truncated: the
+shift is a finite sum over sub-multisets, and extracting one power of w
+bounds the weight the creation exponential adds.
 """
 
 from __future__ import annotations
