@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .partitions import Partition, PartitionTooLong, partitions_of
@@ -164,9 +164,12 @@ def _splits(rho: tuple[int, ...]):
     mults = [(r, rho.count(r)) for r in sorted(set(rho), reverse=True)]
     out = []
     for picks in product(*(range(m + 1) for _, m in mults)):
-        kappa = tuple(r for (r, _), j in zip(mults, picks) for _ in range(j))
-        rest = tuple(r for (r, m), j in zip(mults, picks) for _ in range(m - j))
-        out.append((kappa, rest, prod(comb(m, j) for (_, m), j in zip(mults, picks))))
+        kappa, rest, c = (), (), 1
+        for (r, m), j in zip(mults, picks):
+            kappa += (r,) * j
+            rest += (r,) * (m - j)
+            c *= comb(m, j)
+        out.append((kappa, rest, c))
     return tuple(out)
 
 
