@@ -4,8 +4,12 @@ Full-grid suite runs live in the acceptance tests; these tests use small grids
 so the whole file stays fast.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from spochar import verify
 from spochar.ring import LaurentPoly, xvar
 from spochar.verify import (
     SUITE_NAMES,
@@ -120,3 +124,36 @@ def test_cauchy_o_records_variant_note():
     rep = run_suite("cauchy_o", SMALL)
     assert rep.passed
     assert any("non-strict" in note for note in rep.notes)
+
+
+# Two broken relation tables: a wrong index shift in the plain symplectic
+# relation, and the mixed symplectic relation flagged as plain, which drops
+# its delta term (and leaves its second word's families unswapped).
+# The sha256 of each failing report's JSON was recorded before the mode rows
+# were packed into integers; it pins the failure keys, their order, the
+# descriptions and the "residual on N basis vectors" counts.
+def _broken(name, words=None, mixed=None):
+    out = []
+    for rel in verify._RELATIONS:
+        if rel[0] == name:
+            rel = (rel[0], rel[1], rel[2], words or rel[3], rel[4] if mixed is None else mixed)
+        out.append(rel)
+    return tuple(out)
+
+
+BROKEN_COMMUTATION = [
+    (
+        _broken("sp_plain", words=lambda i, j: ((i, j), (j + 2, i - 1))),
+        "cdbee6e2d785a84e28a5e8714447c33030576f872ce6adfd473b9a5902c8528e",
+    ),
+    (_broken("sp_mixed", mixed=False), "50643466baa06dc1f81cc4d1855db14f8aaf7dc953060fb7851692ce39a80da6"),
+]
+
+
+@pytest.mark.parametrize("relations,digest", BROKEN_COMMUTATION, ids=["shift", "delta"])
+def test_broken_commutation_report_is_pinned(monkeypatch, relations, digest):
+    monkeypatch.setattr(verify, "_RELATIONS", relations)
+    rep = run_suite("commutation", Grid(max_weight=1))
+    assert not rep.passed
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
