@@ -23,8 +23,10 @@ from .characters import (
     sp_skew,
     sp_universal,
 )
+from . import characters, fock, partitions, ring, series
 from .fock import (
     FockVector,
+    SlotOverflow,
     ZeroModeRequested,
     apply_mode,
     gamma_plus,
@@ -39,7 +41,6 @@ from .partitions import (
     GTChain,
     Partition,
     PartitionTooLong,
-    contains,
     enumerate_partitions,
     gt_chains,
     interlaces,
@@ -64,3 +65,14 @@ from .series import HSpec, check_newton, e_seq, h_seq
 from .verify import CheckReport, Grid, SUITE_NAMES, run_all, run_suite
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every cache the package keeps: each `lru_cache` and the Fock
+    basis-id table.  Later results are the same; they are only recomputed."""
+    for module in (characters, fock, partitions, ring, series):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    fock.PARTS.clear()
+    fock._PID.clear()

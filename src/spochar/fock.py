@@ -19,12 +19,35 @@ Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
 contracts those against rational bra coefficients.
 
 Both annihilation exponentials are one Taylor shift p_r -> p_r + c_r, read
-from the cached split table `_splits`; the mode action on a basis vector is
-cached once per (kind, k, basis) triple as integers over one denominator,
-keyed by interned partition ids (`pid`), so large verification grids share
-almost all of the work.  Everything is exact and nothing is truncated: the
-shift is a finite sum over sub-multisets, and extracting one power of w
-bounds the weight the creation exponential adds.
+from the cached split table `_splits`.  The mode action on a basis vector is
+cached once per (kind, k, basis) triple as a packed row: integers over one
+denominator, held in a single Python int (Kronecker substitution on the
+coefficient vector), so a linear combination of rows is one big-integer
+multiply-add per row, done in C.
+
+Packed rows.  Basis vectors are numbered by weight: `pid(nu)` is the number
+of partitions of weight below |nu| plus the rank of nu in `partitions_of(|nu|)`,
+and `PARTS` maps an id back.  An integer vector with coefficient c_i on id i
+is packed as
+
+    N = sum_i c_i * 2^(B*i),    B = SLOT_BITS,
+
+so sum_k f_k N_k packs sum_k f_k v_k exactly, by linearity.  Every packed
+value carries an integer bound beta >= max_i |c_i|: a creation block's is its
+largest coefficient, and a combination sum_k f_k N_k gets sum_k |f_k| beta_k,
+which bounds each of its slots by the triangle inequality; a sum of values on
+disjoint slot ranges (a row's weights, see `_mode_row_scaled`) gets the
+largest of their bounds.  While
+beta < 2^(B-1) the packing is injective: N + sum_i 2^(B-1) * 2^(B*i) has the
+base-2^B digits c_i + 2^(B-1), all in [1, 2^B - 1], so no digit carries into
+the next, the c_i can be read back (`unpack`), and N == 0 exactly when every
+c_i is 0.  `certify` checks the bound of every packed value and raises
+`SlotOverflow` once it reaches 2^(B-1), so no verdict is ever read from an
+integer that could hide a nonzero slot.  Nothing is modular or sampled.
+
+Everything is exact and nothing is truncated: the shift is a finite sum over
+sub-multisets, and extracting one power of w bounds the weight the creation
+exponential adds.
 """
 
 from __future__ import annotations
@@ -73,18 +96,79 @@ def vacuum() -> FockVector:
     return {(): 1}
 
 
-# Interned partition ids: mode rows are keyed by them, so compositions
-# accumulate plain ints in id-keyed dicts.
+class SlotOverflow(ValueError):
+    """A packed value's bound reached 2^(SLOT_BITS-1), where packing stops being
+    injective; no result is read from it."""
+
+
+SLOT_BITS = 128  # bits per packed slot; a multiple of 8 (`unpack` reads bytes)
+
+# Basis ids by weight: all partitions of weight 0, then of weight 1, ..., each
+# weight in `partitions_of` order, so a row of low weight packs into a short
+# int.  The table grows a whole weight at a time and `clear_caches` empties it.
 _PID: dict[tuple[int, ...], int] = {}
 PARTS: list[tuple[int, ...]] = []
 
 
 def pid(nu: tuple[int, ...]) -> int:
-    """The interned id of a partition tuple; PARTS maps it back."""
-    if nu not in _PID:
-        _PID[nu] = len(PARTS)
-        PARTS.append(nu)
-    return _PID[nu]
+    """The id of a partition tuple; PARTS maps it back."""
+    i = _PID.get(nu)
+    if i is None:
+        for w in range(sum(PARTS[-1]) + 1 if PARTS else 0, sum(nu) + 1):
+            for p in partitions_of(w):
+                _PID[p] = len(PARTS)
+                PARTS.append(p)
+        i = _PID[nu]
+    return i
+
+
+def certify(bound: int) -> int:
+    """Return `bound`, or raise SlotOverflow where packing stops being injective."""
+    if bound >> (SLOT_BITS - 1):
+        raise SlotOverflow(
+            f"packed slot bound of {bound.bit_length()} bits reaches the "
+            f"{SLOT_BITS}-bit slot width"
+        )
+    return bound
+
+
+def pack(entries) -> int:
+    """The packed int of ((id, coefficient), ...); a coefficient may itself be
+    a packed int, which then starts at that id."""
+    return sum(c << (SLOT_BITS * i) for i, c in entries)
+
+
+def combine(terms) -> tuple[int, int]:
+    """sum f * value over (f, value, bound) triples, with its certified bound."""
+    value = bound = 0
+    for f, v, b in terms:
+        value += f * v
+        bound += abs(f) * b
+    return value, certify(bound)
+
+
+@lru_cache(maxsize=None)
+def _bias(slots: int, bits: int) -> int:
+    # 2^(bits-1) in each of the low `slots` slots
+    return ((1 << (bits * slots)) - 1) // ((1 << bits) - 1) << (bits - 1)
+
+
+def unpack(value: int) -> list[tuple[int, int]]:
+    """The nonzero slots of a packed int whose bound is certified, as
+    [(id, coefficient), ...] by ascending id; see the module docstring."""
+    if not value:
+        return []
+    bits = SLOT_BITS
+    width, half = bits // 8, 1 << (bits - 1)
+    slots = abs(value).bit_length() // bits + 1
+    data = (value + _bias(slots, bits)).to_bytes(slots * width, "little")
+    zero = half.to_bytes(width, "little")
+    out = []
+    for i in range(slots):
+        digit = data[i * width : (i + 1) * width]
+        if digit != zero:
+            out.append((i, int.from_bytes(digit, "little") - half))
+    return out
 
 
 def _insert_part(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -191,12 +275,34 @@ def _zlcm(c: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]):
-    """X_k p_mu as (((pid(nu), int), ...), denominator).
+def _creation_block(rest: tuple[int, ...], c: int, sign: int) -> tuple[int, int, int]:
+    """sum over parts |- c of sign^len(parts) (zlcm(c)/z_parts) p_{rest + parts},
+    packed from the first id of its weight: (value, bound, that id).
+
+    Distinct parts give distinct rest + parts, so no two terms share a slot
+    and the bound is the largest coefficient."""
+    zc = _zlcm(c)
+    w = sum(rest) + c
+    base = pid((w,) if w else ())  # (w,) comes first in partitions_of(w)
+    entries = [
+        (pid(tuple(sorted(rest + parts, reverse=True))) - base,
+         -zc // _zfactor(parts) if sign < 0 and len(parts) % 2 else zc // _zfactor(parts))
+        for parts in partitions_of(c)
+    ]
+    return pack(entries), certify(max((abs(v) for _, v in entries), default=0)), base
+
+
+@lru_cache(maxsize=None)
+def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, int]:
+    """X_k p_mu as a packed row (value, bound, denominator).
 
     The annihilation stage is integral (see `_splits`), so the one shared
-    denominator comes from the creation exponential alone, and the large
-    verification loops stay out of Fraction arithmetic.
+    denominator zl comes from the creation exponential alone: each split
+    (rest, q) that leaves w-degree c for the creation exponential adds
+    q * (zl / zlcm(c)) times the cached creation block of (rest, c).  Blocks
+    are summed per weight as short ints and shifted into place once, and since
+    weights occupy disjoint slots the row's bound is the largest per-weight
+    bound (see the module docstring).
     """
     shape = MODE_SHAPES[kind]
     target = shape.target_sign * k
@@ -208,19 +314,20 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]):
         if p <= target
     ]
     zl = lcm(*(_zlcm(deg) for _, _, deg in terms))
-    acc: dict[tuple[int, ...], int] = {}
+    graded: dict[int, list] = {}
     for rest, q, deg in terms:
-        for parts in partitions_of(deg):
-            coeff = q * (zl // _zfactor(parts))
-            if shape.creation_sign < 0 and len(parts) % 2:
-                coeff = -coeff
-            key = tuple(sorted(rest + parts, reverse=True))
-            val = acc.get(key, 0) + coeff
-            if val:
-                acc[key] = val
-            elif key in acc:
-                del acc[key]
-    return tuple((pid(nu), v) for nu, v in acc.items()), zl
+        value, bound, base = _creation_block(rest, deg, shape.creation_sign)
+        graded.setdefault(base, []).append((q * (zl // _zlcm(deg)), value, bound))
+    sums = [(base, *combine(ts)) for base, ts in graded.items()]
+    return pack((base, v) for base, v, _ in sums), max((b for *_, b in sums), default=0), zl
+
+
+@lru_cache(maxsize=None)
+def _row_entries(kind: str, k: int, mu: tuple[int, ...]):
+    """X_k p_mu unpacked as (((nu, int), ...), denominator), for the readers
+    that go through a row entry by entry: inner rows of `compose`, kets, bras."""
+    value, _, den = _mode_row_scaled(kind, k, mu)
+    return tuple((PARTS[i], v) for i, v in unpack(value)), den
 
 
 def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
@@ -229,27 +336,20 @@ def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
         raise ValueError(f"unknown mode kind {kind!r}")
 
     def row(mu):
-        entries, den = _mode_row_scaled(kind, k, mu)
-        return [(PARTS[i], Fraction(v, den)) for i, v in entries]
+        entries, den = _row_entries(kind, k, mu)
+        return [(nu, Fraction(v, den)) for nu, v in entries]
 
     return _linear(vec, row)
 
 
 def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
-    """X_out X_in p_mu as ({pid(nu): int}, denominator), in integers only."""
-    inner, d_in = _mode_row_scaled(kind_in, k_in, mu)
-    pieces = [(qi, *_mode_row_scaled(kind_out, k_out, PARTS[i])) for i, qi in inner]
-    den = lcm(*(s for _, _, s in pieces))
-    out: dict[int, int] = {}
-    for qi, entries, s in pieces:
-        f = qi * (den // s)
-        for rid, ri in entries:
-            val = out.get(rid, 0) + f * ri
-            if val:
-                out[rid] = val
-            elif rid in out:
-                del out[rid]
-    return out, d_in * den
+    """X_out X_in p_mu as a packed row (value, bound, denominator): the inner
+    row is unpacked, and the outer rows are summed as packed ints."""
+    inner, d_in = _row_entries(kind_in, k_in, mu)
+    pieces = [(qi, _mode_row_scaled(kind_out, k_out, nu)) for nu, qi in inner]
+    den = lcm(*(row[2] for _, row in pieces))
+    value, bound = combine((qi * (den // s), v, b) for qi, (v, b, s) in pieces)
+    return value, bound, d_in * den
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +403,8 @@ def _bra_on_basis(star: str, word: tuple[int, ...], nu: tuple[int, ...]):
     Recursing on the word's tail shares every suffix between bras."""
     if not word:
         return int(nu == ())
-    entries, den = _mode_row_scaled(star, -word[0], nu)
-    total = sum(v * _bra_on_basis(star, word[1:], PARTS[i]) for i, v in entries)
+    entries, den = _row_entries(star, -word[0], nu)
+    total = sum(v * _bra_on_basis(star, word[1:], rho) for rho, v in entries)
     return Fraction(total, den)
 
 

@@ -86,13 +86,6 @@ class Partition:
 EMPTY = Partition()
 
 
-def contains(mu: Partition, lam: Partition) -> bool:
-    """True when mu_i <= lam_i for every i (mu fits inside lam)."""
-    k = max(mu.length, lam.length)
-    mp, lp = mu.padded(k), lam.padded(k)
-    return all(a <= b for a, b in zip(mp, lp))
-
-
 def interlaces(nu: Partition, lam: Partition) -> bool:
     """True when lam_i >= nu_i >= lam_{i+1} for every i."""
     k = max(nu.length, lam.length)

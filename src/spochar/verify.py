@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 from . import fock, series
 from .characters import (
@@ -226,7 +226,7 @@ def check_commutation(grid: Grid) -> CheckReport:
             # within the pure families the second word of one index pair is
             # the first word of another, so memoize per basis vector
             memo: dict = {}
-            mu_id = fock.pid(mu)
+            delta = fock.pack(((fock.pid(mu), 1),))
             for i, j in pairs:
                 (w1a, w1b), (w2a, w2b) = words(i, j)
                 key = (kind_a, w1a, kind_b, w1b)
@@ -237,28 +237,18 @@ def check_commutation(grid: Grid) -> CheckReport:
                 r2 = memo.get(key)
                 if r2 is None:
                     r2 = memo[key] = fock.compose(second_out, w2a, second_in, w2b, mu)
-                out1, d1 = r1
-                out2, d2 = r2
-                den = d1 * d2 // gcd(d1, d2)
-                f1, f2 = den // d1, den // d2
-                acc = {rid: v * f1 for rid, v in out1.items()}
-                for rid, r in out2.items():
-                    val = acc.get(rid, 0) + r * f2
-                    if val:
-                        acc[rid] = val
-                    elif rid in acc:
-                        del acc[rid]
+                v1, b1, d1 = r1
+                v2, b2, d2 = r2
+                den = lcm(d1, d2)
+                terms = [(den // d1, v1, b1), (den // d2, v2, b2)]
                 if mixed and i == j:
-                    val = acc.get(mu_id, 0) - den
-                    if val:
-                        acc[mu_id] = val
-                    elif mu_id in acc:
-                        del acc[mu_id]
+                    terms.append((-den, delta, 1))
+                acc, _ = fock.combine(terms)
                 if acc:
                     ses.fail(
                         (sum(mu), name, i, j),
                         f"{name} i={i} j={j} mu={list(mu)}",
-                        f"residual on {len(acc)} basis vectors",
+                        f"residual on {len(fock.unpack(acc))} basis vectors",
                         "0",
                     )
                 else:

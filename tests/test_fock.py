@@ -8,7 +8,10 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from spochar import clear_caches, cli, fock
 from spochar.characters import o_skew, sp_skew
 from spochar.fock import (
     MODE_SHAPES,
@@ -302,12 +305,56 @@ def test_mode_words_reduce_to_signed_kets():
 
 
 def test_compose_matches_apply_mode_twice():
-    from spochar import fock
-
     for kind_out, kind_in in (("Y", "Y"), ("Y", "Ystar"), ("W", "Wstar"), ("Wstar", "W")):
         for k_out, k_in in ((-2, 1), (0, -1), (1, 2), (-1, -1)):
             for mu in ((), (1,), (2, 1), (1, 1, 1)):
-                rows, den = fock.compose(kind_out, k_out, kind_in, k_in, mu)
-                got = {fock.PARTS[i]: Fraction(v, den) for i, v in rows.items()}
+                value, _, den = fock.compose(kind_out, k_out, kind_in, k_in, mu)
+                got = {fock.PARTS[i]: Fraction(v, den) for i, v in fock.unpack(value)}
                 want = apply_mode(kind_out, k_out, apply_mode(kind_in, k_in, {mu: 1}))
                 assert got == want, (kind_out, k_out, kind_in, k_in, mu)
+
+
+# --- packed rows ---
+
+_HALF = 1 << (fock.SLOT_BITS - 1)
+slot_vectors = st.dictionaries(
+    st.integers(0, 60), st.integers(1 - _HALF, _HALF - 1).filter(bool), max_size=12
+)
+
+
+@given(slot_vectors)
+@example({})
+@example({0: -1})
+@example({3: 5, 7: 1 - _HALF})
+@example({0: _HALF - 1, 1: 1 - _HALF, 2: _HALF - 1})
+def test_unpack_inverts_pack(vec):
+    entries = sorted(vec.items())
+    assert fock.unpack(fock.pack(entries)) == entries
+
+
+def test_certify_stops_at_half_the_slot():
+    assert fock.certify(_HALF - 1) == _HALF - 1
+    with pytest.raises(fock.SlotOverflow):
+        fock.certify(_HALF)
+
+
+@pytest.fixture
+def narrow_slots(monkeypatch):
+    """Packed values built with 16-bit slots; every cache is emptied around
+    the test so that no row of either width outlives it."""
+    clear_caches()
+    monkeypatch.setattr(fock, "SLOT_BITS", 16)
+    yield
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_narrow_slots_raise_instead_of_a_verdict(narrow_slots, capsys):
+    from spochar.verify import Grid, run_suite
+
+    with pytest.raises(fock.SlotOverflow):
+        run_suite("commutation", Grid(max_weight=1))
+    code = cli.main(["verify", "--suite", "commutation", "--grid", '{"max_weight": 1}'])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "PASS" not in out and "slot" in err

@@ -5,11 +5,14 @@ so the whole file stays fast.
 """
 
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
-from spochar import verify
+import spochar
+from spochar import clear_caches, fock, verify
 from spochar.ring import LaurentPoly, xvar
 from spochar.verify import (
     SUITE_NAMES,
@@ -96,6 +99,22 @@ def test_run_all_covers_registry():
     reports = run_all(SMALL)
     assert [r.check_name for r in reports] == list(SUITE_NAMES)
     assert all(r.passed for r in reports)
+
+
+def test_clear_caches_empties_every_cache_and_keeps_reports():
+    names = ("commutation", "fock_vs_determinant")
+    first = [run_suite(name, SMALL).to_json() for name in names]
+    clear_caches()
+    caches = [
+        obj
+        for info in pkgutil.iter_modules(spochar.__path__)
+        for obj in vars(importlib.import_module(f"spochar.{info.name}")).values()
+        if hasattr(obj, "cache_info")
+    ]
+    assert len(caches) >= 16
+    assert all(c.cache_info().currsize == 0 for c in caches)
+    assert not fock.PARTS
+    assert [run_suite(name, SMALL).to_json() for name in names] == first
 
 
 def test_session_failure_ordering():
