@@ -147,12 +147,6 @@ def combine(terms) -> tuple[int, int]:
     return value, certify(bound)
 
 
-@lru_cache(maxsize=None)
-def _bias(slots: int, bits: int) -> int:
-    # 2^(bits-1) in each of the low `slots` slots
-    return ((1 << (bits * slots)) - 1) // ((1 << bits) - 1) << (bits - 1)
-
-
 def unpack(value: int) -> list[tuple[int, int]]:
     """The nonzero slots of a packed int whose bound is certified, as
     [(id, coefficient), ...] by ascending id; see the module docstring."""
@@ -160,9 +154,9 @@ def unpack(value: int) -> list[tuple[int, int]]:
         return []
     bits = SLOT_BITS
     width, half = bits // 8, 1 << (bits - 1)
+    zero = half.to_bytes(width, "little")  # the digit of a 0 slot
     slots = abs(value).bit_length() // bits + 1
-    data = (value + _bias(slots, bits)).to_bytes(slots * width, "little")
-    zero = half.to_bytes(width, "little")
+    data = (value + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
     out = []
     for i in range(slots):
         digit = data[i * width : (i + 1) * width]
@@ -284,12 +278,13 @@ def _creation_block(rest: tuple[int, ...], c: int, sign: int) -> tuple[int, int,
     zc = _zlcm(c)
     w = sum(rest) + c
     base = pid((w,) if w else ())  # (w,) comes first in partitions_of(w)
-    entries = [
-        (pid(tuple(sorted(rest + parts, reverse=True))) - base,
-         -zc // _zfactor(parts) if sign < 0 and len(parts) % 2 else zc // _zfactor(parts))
-        for parts in partitions_of(c)
-    ]
-    return pack(entries), certify(max((abs(v) for _, v in entries), default=0)), base
+    entries = []
+    for parts in partitions_of(c):
+        coeff = zc // _zfactor(parts)
+        if sign < 0 and len(parts) % 2:
+            coeff = -coeff
+        entries.append((pid(tuple(sorted(rest + parts, reverse=True))) - base, coeff))
+    return pack(entries), certify(max(abs(v) for _, v in entries)), base
 
 
 @lru_cache(maxsize=None)

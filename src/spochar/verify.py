@@ -207,7 +207,10 @@ _RELATIONS = (
 
 def check_commutation(grid: Grid) -> CheckReport:
     """Quadratic exchange relations for all four mode families, on every
-    power-sum basis vector up to the weight bound."""
+    power-sum basis vector up to the weight bound.
+
+    Each residual is a packed Fock row (see `fock`) with a certified slot
+    bound, so it is zero exactly when its int is 0."""
     ses = _Session("commutation", grid)
     bound = grid.degree_cap
     basis = [
