@@ -132,10 +132,21 @@ def certify(bound: int) -> int:
     return bound
 
 
+def _zero_digit() -> bytes:
+    # the base-2^B digit of a 0 slot once 2^(B-1) is added to every slot
+    return (1 << (SLOT_BITS - 1)).to_bytes(SLOT_BITS // 8, "little")
+
+
 def pack(entries) -> int:
-    """The packed int of ((id, coefficient), ...); a coefficient may itself be
-    a packed int, which then starts at that id."""
-    return sum(c << (SLOT_BITS * i) for i, c in entries)
+    """The packed int of ((id, coefficient), ...), distinct ids, each
+    |coefficient| < 2^(SLOT_BITS-1); written as digits, then unbiased."""
+    zero = _zero_digit()
+    width, half = len(zero), 1 << (SLOT_BITS - 1)
+    slots = max((i for i, _ in entries), default=-1) + 1
+    data = bytearray(zero * slots)
+    for i, c in entries:
+        data[i * width : (i + 1) * width] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(data, "little") - int.from_bytes(zero * slots, "little")
 
 
 def combine(terms) -> tuple[int, int]:
@@ -152,10 +163,9 @@ def unpack(value: int) -> list[tuple[int, int]]:
     [(id, coefficient), ...] by ascending id; see the module docstring."""
     if not value:
         return []
-    bits = SLOT_BITS
-    width, half = bits // 8, 1 << (bits - 1)
-    zero = half.to_bytes(width, "little")  # the digit of a 0 slot
-    slots = abs(value).bit_length() // bits + 1
+    zero = _zero_digit()
+    width, half = len(zero), 1 << (SLOT_BITS - 1)
+    slots = abs(value).bit_length() // SLOT_BITS + 1
     data = (value + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
     out = []
     for i in range(slots):
@@ -284,7 +294,8 @@ def _creation_block(rest: tuple[int, ...], c: int, sign: int) -> tuple[int, int,
         if sign < 0 and len(parts) % 2:
             coeff = -coeff
         entries.append((pid(tuple(sorted(rest + parts, reverse=True))) - base, coeff))
-    return pack(entries), certify(max(abs(v) for _, v in entries)), base
+    bound = certify(max(abs(v) for _, v in entries))
+    return pack(entries), bound, base
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +325,8 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, 
         value, bound, base = _creation_block(rest, deg, shape.creation_sign)
         graded.setdefault(base, []).append((q * (zl // _zlcm(deg)), value, bound))
     sums = [(base, *combine(ts)) for base, ts in graded.items()]
-    return pack((base, v) for base, v, _ in sums), max((b for *_, b in sums), default=0), zl
+    value = sum(v << (SLOT_BITS * base) for base, v, _ in sums)
+    return value, max((b for *_, b in sums), default=0), zl
 
 
 @lru_cache(maxsize=None)
