@@ -34,16 +34,16 @@ is packed as
 
 so sum_k f_k N_k packs sum_k f_k v_k exactly, by linearity.  Every packed
 value carries an integer bound beta >= max_i |c_i|: a creation block's is its
-largest coefficient, and a combination sum_k f_k N_k gets sum_k |f_k| beta_k,
-which bounds each of its slots by the triangle inequality; a sum of values on
-disjoint slot ranges (a row's weights, see `_mode_row_scaled`) gets the
-largest of their bounds.  While
-beta < 2^(B-1) the packing is injective: N + sum_i 2^(B-1) * 2^(B*i) has the
-base-2^B digits c_i + 2^(B-1), all in [1, 2^B - 1], so no digit carries into
-the next, the c_i can be read back (`unpack`), and N == 0 exactly when every
-c_i is 0.  `certify` checks the bound of every packed value and raises
-`SlotOverflow` once it reaches 2^(B-1), so no verdict is ever read from an
-integer that could hide a nonzero slot.  Nothing is modular or sampled.
+largest coefficient, a combination sum_k f_k N_k gets sum_k |f_k| beta_k,
+which bounds each of its slots by the triangle inequality, and a sum of values
+on disjoint slot ranges (a row's weights, see `_mode_row_scaled`) gets the
+largest of their bounds.  While beta < 2^(B-1) the packing is injective:
+N + sum_i 2^(B-1) * 2^(B*i) has the base-2^B digits c_i + 2^(B-1), all in
+[1, 2^B - 1], so no digit carries into the next, the c_i can be read back
+(`unpack`), and N == 0 exactly when every c_i is 0.  `certify` checks the
+bound of every packed value and raises `SlotOverflow` once it reaches
+2^(B-1), so no verdict is ever read from an integer that could hide a nonzero
+slot.  Nothing is modular or sampled.
 
 Everything is exact and nothing is truncated: the shift is a finite sum over
 sub-multisets, and extracting one power of w bounds the weight the creation
