@@ -53,7 +53,6 @@ from .ring import (
     MissingAssignment,
     NonIntegerCoefficient,
     NonSquareMatrix,
-    PolyMatrix,
     VarName,
     ZeroAssignedToLaurentVariable,
     var,
@@ -61,8 +60,8 @@ from .ring import (
     yvar,
     zvar,
 )
-from .series import HSpec, check_newton, e_seq, h_seq
-from .verify import CheckReport, Grid, SUITE_NAMES, run_all, run_suite
+from .series import HSpec, check_newton, h_seq
+from .verify import CheckReport, Grid, SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"
 

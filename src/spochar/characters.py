@@ -132,7 +132,7 @@ def _jt_det(
                     e = e - _h(hs, a - i - j + 2 * l)
             row.append(e)
         rows.append(row)
-    return det_of(rows, cap=SKEW_DIM_CAP + 2)
+    return det_of(rows)
 
 
 def _check_universal(lam: Partition, n: int, m: int) -> None:
@@ -216,7 +216,7 @@ def _schur(parts: tuple[int, ...], k: int) -> LaurentPoly:
     for i in range(1, k + 1):
         a = parts[i - 1]
         rows.append([_h(hs, a - i + j) for j in range(1, k + 1)])
-    return det_of(rows, cap=SKEW_DIM_CAP + 2)
+    return det_of(rows)
 
 
 def schur(lam: Partition, k: int) -> LaurentPoly:

@@ -86,8 +86,6 @@ MODE_SHAPES: dict[str, ModeShape] = {
     "Wstar": ModeShape(False, -1, +1, +1),
 }
 
-MODE_KINDS = tuple(MODE_SHAPES)
-
 _STAR_OF = {"sp": "Ystar", "o": "Wstar"}
 _PLAIN_OF = {"sp": "Y", "o": "W"}
 

@@ -65,12 +65,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def part(self, i: int) -> int:
-        """1-based part access with implicit zero padding."""
-        if i < 1:
-            raise IndexError(i)
-        return self.parts[i - 1] if i <= len(self.parts) else 0
-
     def padded(self, k: int) -> tuple[int, ...]:
         if k < len(self.parts):
             raise PartitionTooLong(f"{self.parts} does not fit in {k} parts")

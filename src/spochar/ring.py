@@ -59,13 +59,6 @@ class VarName(NamedTuple):
     def text(self) -> str:
         return f"{self.family}{self.index}"
 
-    @classmethod
-    def parse(cls, s: str) -> "VarName":
-        head = s.rstrip("0123456789")
-        if head not in FAMILY_NAMES or len(head) == len(s):
-            raise ValueError(f"cannot parse variable name {s!r}")
-        return cls(FAMILY_NAMES.index(head), int(s[len(head) :]))
-
 
 def var(family: str, index: int) -> VarName:
     if family not in FAMILY_NAMES:
@@ -134,53 +127,31 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
-def _canon(terms: dict) -> dict:
-    out = {}
-    for m, c in terms.items():
-        c = _norm_coeff(c)
-        if c:
-            out[m] = c
-    return out
-
-
 class LaurentPoly:
     """An immutable Laurent polynomial in canonical sparse form."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
-        self._terms = _canon(dict(terms)) if terms else {}
-
-    @classmethod
-    def _wrap(cls, canonical: dict) -> "LaurentPoly":
-        # trusted constructor: `canonical` must already be zero-free
-        p = object.__new__(cls)
-        p._terms = canonical
-        return p
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return _ONE
+    def __init__(self, terms: dict[Monomial, Coeff]):
+        # trusted: `terms` must already be canonical (no zero coefficient,
+        # integral Fractions collapsed to int) and is kept, not copied
+        self._terms = terms
 
     @classmethod
     def constant(cls, c: Coeff) -> "LaurentPoly":
         c = _norm_coeff(c)
-        return cls._wrap({(): c} if c else {})
+        return cls({(): c} if c else {})
 
     @classmethod
     def variable(cls, v: VarName, exponent: int = 1) -> "LaurentPoly":
         if exponent == 0:
-            return _ONE
-        return cls._wrap({((v, exponent),): 1})
+            return ONE
+        return cls({((v, exponent),): 1})
 
     @classmethod
     def monomial(cls, m: Monomial, c: Coeff = 1) -> "LaurentPoly":
         c = _norm_coeff(c)
-        return cls._wrap({m: c} if c else {})
+        return cls({m: c} if c else {})
 
     # -- structure ---------------------------------------------------------
 
@@ -203,10 +174,6 @@ class LaurentPoly:
             for v, _ in m:
                 out.add(v)
         return out
-
-    def constant_value(self) -> Coeff:
-        """The coefficient of the unit monomial (the rest is ignored)."""
-        return self._terms.get((), 0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
@@ -241,12 +208,12 @@ class LaurentPoly:
                     out[m] = _norm_coeff(s)
                 else:
                     del out[m]
-        return LaurentPoly._wrap(out)
+        return LaurentPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._wrap({m: -c for m, c in self._terms.items()})
+        return LaurentPoly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,17 +229,17 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             other = _norm_coeff(other)
             if not other:
-                return _ZERO
+                return ZERO
             if other == 1:
                 return self
-            return LaurentPoly._wrap(
+            return LaurentPoly(
                 {m: _norm_coeff(c * other) for m, c in self._terms.items()}
             )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
-            return _ZERO
+            return ZERO
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
@@ -289,7 +256,7 @@ class LaurentPoly:
                         out[m] = c
                     else:
                         del out[m]
-        return LaurentPoly._wrap({m: _norm_coeff(c) for m, c in out.items()})
+        return LaurentPoly({m: _norm_coeff(c) for m, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -320,7 +287,7 @@ class LaurentPoly:
                         out[m] = c
                     else:
                         del out[m]
-        return LaurentPoly._wrap({m: _norm_coeff(c) for m, c in out.items()})
+        return LaurentPoly({m: _norm_coeff(c) for m, c in out.items()})
 
     # -- specialization ----------------------------------------------------
 
@@ -378,7 +345,7 @@ class LaurentPoly:
                 out[mono] = s
             elif mono in out:
                 del out[mono]
-        return LaurentPoly._wrap({m: _norm_coeff(c) for m, c in out.items() if c})
+        return LaurentPoly({m: _norm_coeff(c) for m, c in out.items() if c})
 
     def rename(self, mapping: Mapping[VarName, VarName]) -> "LaurentPoly":
         return self.substitute(
@@ -422,17 +389,6 @@ class LaurentPoly:
             for m, c in self.sorted_terms()
         ]
 
-    @classmethod
-    def from_json(cls, obj: Sequence[Mapping]) -> "LaurentPoly":
-        terms: dict = {}
-        for entry in obj:
-            mono = tuple(
-                sorted((VarName.parse(name), int(e)) for name, e in entry["exps"].items())
-            )
-            c = Fraction(entry["coeff"])
-            terms[mono] = terms.get(mono, 0) + c
-        return cls(terms)
-
 
 def _format_term(m: Monomial, c: Coeff) -> str:
     if not m:
@@ -443,68 +399,55 @@ def _format_term(m: Monomial, c: Coeff) -> str:
     return f"{c}*{body}"
 
 
-_ZERO = LaurentPoly._wrap({})
-_ONE = LaurentPoly._wrap({(): 1})
+ZERO = LaurentPoly({})
+ONE = LaurentPoly({(): 1})
 
-ZERO = _ZERO
-ONE = _ONE
+DET_DIM_CAP = 10  # largest dimension `det_of` expands
 
 
-class PolyMatrix:
-    """A rectangular matrix over the Laurent ring with an exact determinant."""
+def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
+    """Determinant by cofactor expansion memoized on column subsets."""
+    n = len(rows)
+    if n == 0 or len(rows[0]) == 0:
+        raise ValueError("matrix dimensions must be positive")
+    cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged matrix rows")
+    if n != cols:
+        raise NonSquareMatrix(f"{n} x {cols}")
+    if n > DET_DIM_CAP:
+        raise DimensionCapExceeded(f"dimension {n} > cap {DET_DIM_CAP}")
+    # expand sparse rows first; track the row-permutation sign
+    order = sorted(range(n), key=lambda i: sum(1 for e in rows[i] if e))
+    sign = _permutation_sign(order)
+    rows = [rows[i] for i in order]
+    memo: dict[int, LaurentPoly] = {}
 
-    __slots__ = ("entries", "rows", "cols")
+    def minor(mask: int) -> LaurentPoly:
+        if mask == 0:
+            return ONE
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        r = n - mask.bit_count()
+        row = rows[r]
+        acc = ZERO
+        s = 1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            c = low.bit_length() - 1
+            entry = row[c]
+            if entry:
+                term = entry * minor(mask ^ low)
+                acc = acc + term if s > 0 else acc - term
+            s = -s
+            rest ^= low
+        memo[mask] = acc
+        return acc
 
-    def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
-        rows = len(entries)
-        if rows == 0 or len(entries[0]) == 0:
-            raise ValueError("matrix dimensions must be positive")
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix rows")
-        self.entries = [list(row) for row in entries]
-        self.rows = rows
-        self.cols = cols
-
-    def det(self, cap: int = 10) -> LaurentPoly:
-        """Determinant by cofactor expansion memoized on column subsets."""
-        if self.rows != self.cols:
-            raise NonSquareMatrix(f"{self.rows} x {self.cols}")
-        n = self.rows
-        if n > cap:
-            raise DimensionCapExceeded(f"dimension {n} > cap {cap}")
-        # expand sparse rows first; track the row-permutation sign
-        order = sorted(range(n), key=lambda i: sum(1 for e in self.entries[i] if e))
-        sign = _permutation_sign(order)
-        rows = [self.entries[i] for i in order]
-        memo: dict[int, LaurentPoly] = {}
-
-        def minor(mask: int) -> LaurentPoly:
-            if mask == 0:
-                return _ONE
-            got = memo.get(mask)
-            if got is not None:
-                return got
-            r = n - mask.bit_count()
-            row = rows[r]
-            acc = _ZERO
-            s = 1
-            rest = mask
-            while rest:
-                low = rest & -rest
-                c = low.bit_length() - 1
-                entry = row[c]
-                if entry:
-                    term = entry * minor(mask ^ low)
-                    acc = acc + term if s > 0 else acc - term
-                s = -s
-                rest ^= low
-            memo[mask] = acc
-            return acc
-
-        result = minor((1 << n) - 1)
-        return result if sign > 0 else -result
+    result = minor((1 << n) - 1)
+    return result if sign > 0 else -result
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -514,7 +457,3 @@ def _permutation_sign(perm: Sequence[int]) -> int:
             if perm[i] > perm[j]:
                 inv += 1
     return -1 if inv & 1 else 1
-
-
-def det_of(rows: Sequence[Sequence[LaurentPoly]], cap: int = 10) -> LaurentPoly:
-    return PolyMatrix(rows).det(cap=cap)

@@ -76,6 +76,7 @@ def h_seq_y(k: int, N: int) -> list[LaurentPoly]:
 
 @lru_cache(maxsize=None)
 def _e_seq(m: int) -> tuple[LaurentPoly, ...]:
+    """(e_0, ..., e_m): elementary symmetric polynomials of -z_1^{-1}..-z_m^{-1}."""
     series = [ONE]
     for j in range(1, m + 1):
         zj_inv = LaurentPoly.variable(zvar(j), -1)
@@ -88,20 +89,13 @@ def _e_seq(m: int) -> tuple[LaurentPoly, ...]:
     return tuple(series)
 
 
-def e_seq(m: int) -> list[LaurentPoly]:
-    """[e_0, ..., e_m]: elementary symmetric polynomials of -z_1^{-1}..-z_m^{-1}."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return list(_e_seq(m))
-
-
 def check_newton(spec: HSpec, N: int) -> bool:
     """Verify h_k(plain) = sum_{i=0}^{m} e_i * h_{k-i}(symmetric) for k <= N."""
     if spec.m < 1:
         raise ValueError("the recurrence needs at least one z variable")
     hp = h_seq(HSpec(spec.n, spec.m, "plain"), N)
     hs = h_seq(HSpec(spec.n, spec.m, "symmetric"), N)
-    es = e_seq(spec.m)
+    es = _e_seq(spec.m)
     for k in range(N + 1):
         rhs = ZERO
         for i in range(min(spec.m, k) + 1):

@@ -33,11 +33,9 @@ from spochar.characters import (
     universal_det,
 )
 from spochar.partitions import Partition, enumerate_partitions, interlaces, subpartitions
-from spochar.ring import LaurentPoly, xvar, zvar
+from spochar.ring import ONE, ZERO, LaurentPoly, xvar, zvar
 
 P = Partition
-ONE = LaurentPoly.one()
-ZERO = LaurentPoly.zero()
 MINUS = LaurentPoly.constant(Fraction(-1))
 
 

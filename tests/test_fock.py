@@ -25,11 +25,9 @@ from spochar.fock import (
     vacuum,
 )
 from spochar.partitions import Partition, enumerate_partitions, partitions_of
-from spochar.ring import LaurentPoly, xvar, zvar
+from spochar.ring import ONE, ZERO, LaurentPoly, xvar, zvar
 
 P = Partition
-ONE = LaurentPoly.one()
-ZERO = LaurentPoly.zero()
 
 
 def scaled(vec, c):

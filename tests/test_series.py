@@ -2,10 +2,8 @@
 
 from fractions import Fraction
 
-from spochar.ring import LaurentPoly, xvar, yvar, zvar
-from spochar.series import HSpec, check_newton, e_seq, h_seq, h_seq_y
-
-ONE = LaurentPoly.one()
+from spochar.ring import ONE, ZERO, LaurentPoly, xvar, yvar, zvar
+from spochar.series import HSpec, _e_seq, check_newton, h_seq, h_seq_y
 
 
 def test_h_single_inverted_pair():
@@ -34,7 +32,7 @@ def test_h_is_multiplicative_over_alphabets():
     hz = h_seq(HSpec(0, 1, "plain"), 4)
     hm = h_seq(HSpec(2, 1, "plain"), 4)
     for d in range(5):
-        conv = LaurentPoly.zero()
+        conv = ZERO
         for a in range(d + 1):
             conv = conv + hx[a] * hz[d - a]
         assert hm[d] == conv
@@ -56,9 +54,9 @@ def test_h_symmetry_under_x_inversion():
 
 
 def test_e_sequences():
-    assert [e.text() for e in e_seq(0)] == ["1"]
-    assert [e.text() for e in e_seq(1)] == ["1", "-z1^-1"]
-    assert [e.text() for e in e_seq(2)] == [
+    assert [e.text() for e in _e_seq(0)] == ["1"]
+    assert [e.text() for e in _e_seq(1)] == ["1", "-z1^-1"]
+    assert [e.text() for e in _e_seq(2)] == [
         "1",
         "-z2^-1 - z1^-1",
         "z1^-1*z2^-1",
@@ -67,7 +65,7 @@ def test_e_sequences():
 
 def test_e_is_elementary_in_inverted_z():
     # degree k entry = (-1)^k e_k(z1^-1, ..., zm^-1)
-    es = e_seq(3)
+    es = _e_seq(3)
     zi = [LaurentPoly.variable(zvar(j), -1) for j in (1, 2, 3)]
     assert es[1] == LaurentPoly.constant(Fraction(-1)) * (zi[0] + zi[1] + zi[2])
     assert es[3] == LaurentPoly.constant(Fraction(-1)) * zi[0] * zi[1] * zi[2]

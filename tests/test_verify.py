@@ -13,14 +13,13 @@ import pytest
 
 import spochar
 from spochar import clear_caches, fock, verify
-from spochar.ring import LaurentPoly, xvar
+from spochar.ring import ONE, LaurentPoly, xvar
 from spochar.verify import (
     SUITE_NAMES,
     SUITES,
     CheckReport,
     Grid,
     _Session,
-    run_all,
     run_suite,
 )
 
@@ -95,12 +94,6 @@ def test_each_suite_passes_on_small_grid(name):
     assert rep.check_name == name
 
 
-def test_run_all_covers_registry():
-    reports = run_all(SMALL)
-    assert [r.check_name for r in reports] == list(SUITE_NAMES)
-    assert all(r.passed for r in reports)
-
-
 def test_clear_caches_empties_every_cache_and_keeps_reports():
     names = ("commutation", "fock_vs_determinant")
     first = [run_suite(name, SMALL).to_json() for name in names]
@@ -119,12 +112,11 @@ def test_clear_caches_empties_every_cache_and_keeps_reports():
 
 def test_session_failure_ordering():
     ses = _Session("demo", SMALL)
-    one = LaurentPoly.one()
     x = LaurentPoly.variable(xvar(1))
     # keys sort failures so the smallest instance is reported first
-    ses.check((9, "z"), "big case", x, one)
-    ses.check((1, "a"), "small case", x, one)
-    ses.check((1, "a"), "passing case", one, one)
+    ses.check((9, "z"), "big case", x, ONE)
+    ses.check((1, "a"), "small case", x, ONE)
+    ses.check((1, "a"), "passing case", ONE, ONE)
     rep = ses.report()
     assert not rep.passed
     assert rep.instances_run == 3
