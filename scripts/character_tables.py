@@ -12,7 +12,7 @@ Examples:
 import argparse
 import sys
 
-from spochar.characters import o_universal, sp_universal
+from spochar.characters import universal
 from spochar.partitions import enumerate_partitions
 
 
@@ -24,15 +24,13 @@ def main() -> int:
     ap.add_argument("--max-weight", type=int, default=4)
     args = ap.parse_args()
 
-    fams = [("sp", sp_universal), ("o", o_universal)]
-    if args.family != "both":
-        fams = [f for f in fams if f[0] == args.family]
+    fams = ["sp", "o"] if args.family == "both" else [args.family]
 
     shapes = list(enumerate_partitions(args.n + args.m, args.max_weight))
-    for name, fn in fams:
-        print(f"family {name}, n={args.n}, m={args.m}")
+    for family in fams:
+        print(f"family {family}, n={args.n}, m={args.m}")
         for lam in shapes:
-            c = fn(lam, args.n, args.m)
+            c = universal(family, lam, args.n, args.m)
             dim = c.evaluate({v: 1 for v in c.variables()})
             label = ",".join(map(str, lam.parts)) or "-"
             print(f"  ({label:<8})  dim {str(dim):>6}   {c.text()}")

@@ -7,21 +7,17 @@ identity relating them into a bounded exact check.
 """
 
 from .characters import (
-    CharSpec,
     DivisionWitnessFailed,
     LastPartNonzero,
     ReductionMismatch,
-    compute,
     o_even_bialternant,
     o_intermediate_reduce,
     o_odd_closed,
-    o_skew,
-    o_universal,
     schur,
+    skew,
     sp_bialternant,
     sp_odd_bialternant,
-    sp_skew,
-    sp_universal,
+    universal,
 )
 from . import characters, fock, partitions, ring, series
 from .fock import (

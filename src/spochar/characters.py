@@ -15,11 +15,10 @@ if that expectation is ever violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import EMPTY, Partition, PartitionTooLong
+from .partitions import Partition, PartitionTooLong
 from .ring import (
     ONE,
     ZERO,
@@ -46,35 +45,6 @@ class LastPartNonzero(ValueError):
 
 class ReductionMismatch(ArithmeticError):
     """A reduced determinant disagrees with the universal one."""
-
-
-@dataclass(frozen=True)
-class CharSpec:
-    """A character request: family, variable counts, outer/inner shapes."""
-
-    family: str
-    n: int
-    m: int
-    outer: Partition
-    inner: Partition = EMPTY
-
-    def __post_init__(self):
-        if self.family not in ("sp", "o"):
-            raise ValueError("family must be 'sp' or 'o'")
-        if self.n < 0 or self.m < 0:
-            raise ValueError("variable counts must be >= 0")
-
-
-def compute(spec: CharSpec) -> LaurentPoly:
-    """Dispatch a CharSpec to the right determinant."""
-    skew = spec.inner.length > 0 or spec.inner.declared_len > 0
-    if spec.family == "sp":
-        if skew:
-            return sp_skew(spec.outer, spec.inner, spec.n, spec.m)
-        return sp_universal(spec.outer, spec.n, spec.m)
-    if skew:
-        return o_skew(spec.outer, spec.inner, spec.n, spec.m)
-    return o_universal(spec.outer, spec.n, spec.m)
 
 
 def _h(hs: Sequence[LaurentPoly], k: int) -> LaurentPoly:
@@ -135,23 +105,20 @@ def _jt_det(
     return det_of(rows)
 
 
-def _check_universal(lam: Partition, n: int, m: int) -> None:
+def _check_counts(n: int, m: int) -> None:
+    if n < 0 or m < 0:
+        raise ValueError("variable counts must be >= 0")
+
+
+def universal(family: str, lam: Partition, n: int, m: int) -> LaurentPoly:
+    """Universal symplectic ("sp") or orthogonal ("o") character in
+    (x_1..x_n)^{+-} and z_1..z_m."""
+    _check_counts(n, m)
     if n + m > UNIVERSAL_DIM_CAP:
         raise DimensionCapExceeded(f"n + m = {n + m} > {UNIVERSAL_DIM_CAP}")
     if lam.length > n + m:
         raise PartitionTooLong(f"{lam.parts} needs more than {n + m} rows")
-
-
-def sp_universal(lam: Partition, n: int, m: int) -> LaurentPoly:
-    """Universal symplectic character in (x_1..x_n)^{+-} and z_1..z_m."""
-    _check_universal(lam, n, m)
-    return universal_det("sp", lam.parts, n, m).require_integer()
-
-
-def o_universal(lam: Partition, n: int, m: int) -> LaurentPoly:
-    """Universal orthogonal character in (x_1..x_n)^{+-} and z_1..z_m."""
-    _check_universal(lam, n, m)
-    return universal_det("o", lam.parts, n, m).require_integer()
+    return universal_det(family, lam.parts, n, m).require_integer()
 
 
 def universal_det(family: str, seq: Sequence[int], n: int, m: int) -> LaurentPoly:
@@ -173,22 +140,13 @@ def universal_det(family: str, seq: Sequence[int], n: int, m: int) -> LaurentPol
     return _jt_det(family, seq, (0,) * len(seq), 0, n, m)
 
 
-def _check_skew(inner: Partition, n: int, m: int) -> None:
+def skew(family: str, outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
+    """Skew universal character of either family; zero unless inner fits in outer."""
+    _check_counts(n, m)
     dim = inner.declared_len + n + m
     if dim > SKEW_DIM_CAP:
         raise DimensionCapExceeded(f"l + n + m = {dim} > {SKEW_DIM_CAP}")
-
-
-def sp_skew(outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
-    """Skew universal symplectic character; zero unless inner fits in outer."""
-    _check_skew(inner, n, m)
-    return skew_det("sp", outer, inner, n, m).require_integer()
-
-
-def o_skew(outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
-    """Skew universal orthogonal character; zero unless inner fits in outer."""
-    _check_skew(inner, n, m)
-    return skew_det("o", outer, inner, n, m).require_integer()
+    return skew_det(family, outer, inner, n, m).require_integer()
 
 
 def skew_det(family: str, outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
@@ -243,10 +201,20 @@ def _xpow_sum(v, e: int) -> LaurentPoly:
     return LaurentPoly.variable(v, e) + LaurentPoly.variable(v, -e)
 
 
+def _alternant(make, vs: Sequence, exps: Sequence[int]) -> list[list[LaurentPoly]]:
+    # one row per variable, one column per exponent
+    return [[make(v, e) for e in exps] for v in vs]
+
+
 def _witness(
-    numerator: LaurentPoly, denominator: LaurentPoly, candidate: LaurentPoly, what: str
+    num: list[list[LaurentPoly]],
+    den: list[list[LaurentPoly]],
+    candidate: LaurentPoly,
+    what: str,
+    factor: int = 1,
 ) -> None:
-    if numerator != denominator * candidate:
+    # factor * det(num) == det(den) * candidate, without dividing
+    if det_of(num) * factor != det_of(den) * candidate:
         raise DivisionWitnessFailed(what)
 
 
@@ -254,19 +222,14 @@ def sp_bialternant(lam: Partition, n: int) -> LaurentPoly:
     """Symplectic character as a ratio of alternants, checked without division."""
     if lam.length > n:
         raise PartitionTooLong(f"{lam.parts} needs more than {n} rows")
-    candidate = sp_universal(lam, n, 0)
+    candidate = universal("sp", lam, n, 0)
     if n == 0:
         return candidate
     lp = lam.padded(n)
-    num = [
-        [_xpow_diff(xvar(i), lp[j - 1] + n - j + 1) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    den = [
-        [_xpow_diff(xvar(i), n - j + 1) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    _witness(det_of(num), det_of(den), candidate, f"sp bialternant {lp} n={n}")
+    xs = [xvar(i) for i in range(1, n + 1)]
+    num = _alternant(_xpow_diff, xs, [lp[j - 1] + n - j + 1 for j in range(1, n + 1)])
+    den = _alternant(_xpow_diff, xs, [n - j + 1 for j in range(1, n + 1)])
+    _witness(num, den, candidate, f"sp bialternant {lp} n={n}")
     return candidate
 
 
@@ -275,31 +238,19 @@ def sp_odd_bialternant(lam: Partition, n: int) -> LaurentPoly:
     of (n+1)-dimensional alternants, checked without division."""
     if lam.length > n + 1:
         raise PartitionTooLong(f"{lam.parts} needs more than {n + 1} rows")
-    candidate = sp_universal(lam, n, 1)
+    candidate = universal("sp", lam, n, 1)
     lp = lam.padded(n + 1)
     z = zvar(1)
     zinv = LaurentPoly.variable(z, -1)
-    num: list[list[LaurentPoly]] = []
-    den: list[list[LaurentPoly]] = []
-    for i in range(1, n + 1):
-        xi = xvar(i)
-        num.append(
-            [
-                _xpow_diff(xi, lp[j - 1] + n - j + 2)
-                - zinv * _xpow_diff(xi, lp[j - 1] + n - j + 1)
-                for j in range(1, n + 2)
-            ]
-        )
-        den.append([_xpow_diff(xi, n - j + 2) for j in range(1, n + 2)])
-    num.append(
-        [
-            LaurentPoly.variable(z, lp[j - 1] + n - j + 2)
-            - LaurentPoly.variable(z, lp[j - 1] + n - j)
-            for j in range(1, n + 2)
-        ]
-    )
-    den.append([_xpow_diff(z, n - j + 2) for j in range(1, n + 2)])
-    _witness(det_of(num), det_of(den), candidate, f"sp odd bialternant {lp} n={n}")
+    vs = [xvar(i) for i in range(1, n + 1)] + [z]
+
+    def make(v, e: int) -> LaurentPoly:
+        # in the z row this is z^{e+1} - z^{e-1}
+        return _xpow_diff(v, e + 1) - zinv * _xpow_diff(v, e)
+
+    num = _alternant(make, vs, [lp[j - 1] + n - j + 1 for j in range(1, n + 2)])
+    den = _alternant(_xpow_diff, vs, [n - j + 2 for j in range(1, n + 2)])
+    _witness(num, den, candidate, f"sp odd bialternant {lp} n={n}")
     return candidate
 
 
@@ -308,20 +259,16 @@ def o_even_bialternant(lam: Partition, l: int) -> LaurentPoly:
     alternants; the shape of the numerator depends on whether lambda_l = 0."""
     if lam.length > l:
         raise PartitionTooLong(f"{lam.parts} needs more than {l} rows")
-    candidate = o_universal(lam, l, 0)
+    candidate = universal("o", lam, l, 0)
     if l == 0:
         return candidate
     lp = lam.padded(l)
-    den = [
-        [_xpow_sum(xvar(i), l - j) for j in range(1, l + 1)] for i in range(1, l + 1)
-    ]
-    num = [
-        [_xpow_sum(xvar(i), lp[j - 1] + l - j) for j in range(1, l + 1)]
-        for i in range(1, l + 1)
-    ]
+    xs = [xvar(i) for i in range(1, l + 1)]
+    num = _alternant(_xpow_sum, xs, [lp[j - 1] + l - j for j in range(1, l + 1)])
+    den = _alternant(_xpow_sum, xs, [l - j for j in range(1, l + 1)])
     # a nonzero last part doubles the ratio (the shape then indexes a pair)
-    factor = ONE if lp[l - 1] == 0 else LaurentPoly.constant(2)
-    _witness(factor * det_of(num), det_of(den), candidate, f"o even {lp} l={l}")
+    factor = 1 if lp[l - 1] == 0 else 2
+    _witness(num, den, candidate, f"o even {lp} l={l}", factor)
     return candidate
 
 
@@ -331,7 +278,7 @@ def o_odd_closed(lam: Partition, n: int, z_value) -> LaurentPoly:
     alternants through the substitution x_i = t_i^2."""
     if lam.length > n:
         raise LastPartNonzero(f"{lam.parts} must leave row {n + 1} empty")
-    symbolic = o_universal(lam, n, 1)
+    symbolic = universal("o", lam, n, 1)
     if z_value == "symbolic":
         return symbolic
     if z_value not in (1, -1):
@@ -340,17 +287,11 @@ def o_odd_closed(lam: Partition, n: int, z_value) -> LaurentPoly:
     if n > 0:
         lp = lam.padded(n)
         tsub = {xvar(i): LaurentPoly.variable(tvar(i), 2) for i in range(1, n + 1)}
-        cand_t = candidate.substitute(tsub)
+        ts = [tvar(i) for i in range(1, n + 1)]
         make = _xpow_diff if z_value == 1 else _xpow_sum
-        num = [
-            [make(tvar(i), 2 * lp[j - 1] + 2 * (n - j) + 1) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        den = [
-            [make(tvar(i), 2 * (n - j) + 1) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        _witness(det_of(num), det_of(den), cand_t, f"o odd z={z_value} {lp} n={n}")
+        num = _alternant(make, ts, [2 * lp[j - 1] + 2 * (n - j) + 1 for j in range(1, n + 1)])
+        den = _alternant(make, ts, [2 * (n - j) + 1 for j in range(1, n + 1)])
+        _witness(num, den, candidate.substitute(tsub), f"o odd z={z_value} {lp} n={n}")
     return candidate
 
 
@@ -359,7 +300,7 @@ def o_intermediate_reduce(lam: Partition, n: int, m: int) -> LaurentPoly:
     universal orthogonal character collapses to; asserts the collapse."""
     if lam.length > n:
         raise PartitionTooLong(f"{lam.parts} needs more than {n} rows")
-    target = o_universal(lam, n, m)
+    target = universal("o", lam, n, m)
     reduced = _jt_det("sp_hprime", lam.padded(n), (0,) * n, 0, n, m)
     if reduced != target:
         raise ReductionMismatch(f"h' reduction failed for {lam.parts} n={n} m={m}")

@@ -16,10 +16,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .characters import (
-    CharSpec,
-    compute as compute_char,
-)
+from .characters import skew, universal
 from .fock import matrix_element, pairing
 from .partitions import EMPTY, Partition, gt_chains
 from .series import HSpec, check_newton
@@ -62,9 +59,11 @@ def _emit(args, payload: dict, text: str) -> None:
 def _cmd_compute(args) -> int:
     _require(args, ["family", "n", "m", "outer"])
     outer = _parse_partition(args.outer)
-    inner = _parse_partition(args.inner) if args.inner is not None else EMPTY
-    spec = CharSpec(args.family, args.n, args.m, outer, inner)
-    result = compute_char(spec)
+    inner = _parse_partition(args.inner)
+    if inner.declared_len > 0:
+        result = skew(args.family, outer, inner, args.n, args.m)
+    else:
+        result = universal(args.family, outer, args.n, args.m)
     payload = {
         "schema": SCHEMA,
         "command": "compute",

@@ -125,12 +125,10 @@ def subpartitions(lam: Partition, max_len: int) -> Iterator[Partition]:
         for p in range(top, -1, -1):
             yield from rec(i + 1, p, acc + (p,))
 
-    seen: set[tuple[int, ...]] = set()
+    # every raw tuple has length max_len, so dropping its (trailing) zeros
+    # keeps distinct tuples distinct
     for raw in rec(0, bound[0] if max_len else 0, ()):
-        key = tuple(p for p in raw if p)
-        if key not in seen:
-            seen.add(key)
-            yield Partition(key)
+        yield Partition(p for p in raw if p)
 
 
 @dataclass(frozen=True)

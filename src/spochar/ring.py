@@ -263,31 +263,19 @@ class LaurentPoly:
     def mul_truncated(self, other: "LaurentPoly", rank: int, cap: int) -> "LaurentPoly":
         """Product with terms of family-`rank` total degree above `cap` dropped."""
 
-        def fdeg(m: Monomial) -> int:
-            return sum(e for v, e in m if v.rank == rank)
+        def by_degree(p: "LaurentPoly") -> dict[int, dict]:
+            groups: dict[int, dict] = {}
+            for m, c in p._terms.items():
+                groups.setdefault(sum(e for v, e in m if v.rank == rank), {})[m] = c
+            return groups
 
-        a = [(m, c, fdeg(m)) for m, c in self._terms.items()]
-        b = [(m, c, fdeg(m)) for m, c in other._terms.items()]
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        merge = merge_monomials
-        for ma, ca, da in a:
-            room = cap - da
-            for mb, cb, db in b:
-                if db > room:
-                    continue
-                m = merge(ma, mb)
-                c = out.get(m)
-                if c is None:
-                    out[m] = ca * cb
-                else:
-                    c = c + ca * cb
-                    if c:
-                        out[m] = c
-                    else:
-                        del out[m]
-        return LaurentPoly({m: _norm_coeff(c) for m, c in out.items()})
+        a, b = by_degree(self), by_degree(other)
+        out = ZERO
+        for da, pa in a.items():
+            for db, pb in b.items():
+                if da + db <= cap:
+                    out = out + LaurentPoly(pa) * LaurentPoly(pb)
+        return out
 
     # -- specialization ----------------------------------------------------
 

@@ -25,17 +25,15 @@ from . import fock, series
 from .characters import (
     DivisionWitnessFailed,
     ReductionMismatch,
+    o_even_bialternant,
     o_intermediate_reduce,
     o_odd_closed,
-    o_skew,
-    o_universal,
-    sp_bialternant,
-    o_even_bialternant,
-    sp_odd_bialternant,
-    sp_skew,
-    sp_universal,
     schur,
+    skew,
     skew_det,
+    sp_bialternant,
+    sp_odd_bialternant,
+    universal,
     universal_det,
 )
 from .partitions import (
@@ -313,11 +311,10 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
     # Truncating the sum at the leftover alphabet size drops those components
     # and the identity fails, e.g. for lam=(1,1) over two plain variables
     # split 1|1.
-    uni = sp_universal if fam == "sp" else o_universal
     for n in n_vals:
         for m in m_vals:
             for lam in _lams(grid.max_weight, n + m):
-                lhs = uni(lam, n, m)
+                lhs = universal(fam, lam, n, m)
                 big = lam.length
                 for k in range(n + 1):
                     # the skew factor's variables move to the top of each
@@ -387,7 +384,7 @@ def check_branching_odd_sp(grid: Grid) -> CheckReport:
             ses.check(
                 (lam.weight, "power-sum", n),
                 f"power collapse lam={lam.parts} n={n}",
-                sp_universal(lam, n, 1),
+                universal("sp", lam, n, 1),
                 rhs,
             )
     return ses.report()
@@ -419,14 +416,14 @@ def _cauchy_rhs(n: int, m: int, ycount: int, strict: bool, cap: int) -> LaurentP
     return acc
 
 
-def _cauchy_lhs(char_fn, n: int, m: int, ycount: int, cap: int) -> LaurentPoly:
+def _cauchy_lhs(family: str, n: int, m: int, ycount: int, cap: int) -> LaurentPoly:
     acc = ZERO
     for lam in _lams(cap, ycount):
-        acc = acc + char_fn(lam, n, m) * schur(lam, ycount)
+        acc = acc + universal(family, lam, n, m) * schur(lam, ycount)
     return acc
 
 
-CAUCHY_FAMILIES = ("sp_universal", "sp_odd", "sp_n0", "o_universal")
+CAUCHY_FAMILIES = ("sp", "sp_odd", "sp_n0", "o")
 
 
 def check_cauchy(family: str, grid: Grid) -> CheckReport:
@@ -438,7 +435,7 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
     """
     if family not in CAUCHY_FAMILIES:
         raise ValueError(f"unknown cauchy family {family!r}")
-    ses = _Session(f"cauchy_{family.removesuffix('_universal')}", grid)
+    ses = _Session(f"cauchy_{family}", grid)
     cap = min(grid.degree_cap, 5)
     n_lo, n_hi = grid.n_range
     m_lo, m_hi = grid.m_range
@@ -452,11 +449,10 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
             for n in range(n_lo, min(n_hi, 2) + 1)
             for m in range(m_lo, min(m_hi, 1) + 1)
         ]
-    char_fn = o_universal if family == "o_universal" else sp_universal
     for n, m in pairs:
         ycount = n + m
-        lhs = _cauchy_lhs(char_fn, n, m, ycount, cap)
-        if family == "o_universal":
+        lhs = _cauchy_lhs("o" if family == "o" else "sp", n, m, ycount, cap)
+        if family == "o":
             rhs_loose = _cauchy_rhs(n, m, ycount, False, cap)
             if lhs == rhs_loose:
                 ses.notes.append(
@@ -500,14 +496,13 @@ def check_transition_odd(grid: Grid) -> CheckReport:
     for n in range(grid.n_range[0], grid.n_range[1] + 1):
         # the symplectic sum runs over n+1 rows, the orthogonal one over n
         for family, rows in (("sp", n + 1), ("o", n)):
-            uni = sp_universal if family == "sp" else o_universal
             for lam in _lams(grid.max_weight, rows):
                 lp = lam.padded(rows)
                 rhs = ZERO
                 for eps in product((0, 1), repeat=rows):
                     seq = tuple(a - e for a, e in zip(lp, eps))
                     if _is_partition_seq(seq):
-                        term = uni(Partition(seq), n + 1, 0).substitute(
+                        term = universal(family, Partition(seq), n + 1, 0).substitute(
                             {xvar(n + 1): z1}
                         )
                         sign = -1 if sum(eps) % 2 else 1
@@ -525,7 +520,7 @@ def check_transition_odd(grid: Grid) -> CheckReport:
                 ses.check(
                     (lam.weight, family, n),
                     f"{family} transition lam={lam.parts} n={n}",
-                    uni(lam, n, 1),
+                    universal(family, lam, n, 1),
                     rhs,
                 )
     return ses.report()
@@ -539,7 +534,7 @@ def check_gt_sum(grid: Grid) -> CheckReport:
         for lam in _lams(grid.max_weight, n):
             chains = list(gt_chains(lam, n))
             total = sum((gt_weight(chain) for chain in chains), ZERO)
-            rhs = sp_universal(lam, n, 1).substitute(
+            rhs = universal("sp", lam, n, 1).substitute(
                 {zvar(1): LaurentPoly.variable(xvar(n + 1))}
             )
             ses.check(
@@ -566,7 +561,7 @@ def check_fock_vs_determinant(grid: Grid) -> CheckReport:
     ses = _Session("fock_vs_determinant", grid)
     dim_cap = 6
     alphas = _lams(grid.max_weight, dim_cap)
-    for family, skew in (("sp", sp_skew), ("o", o_skew)):
+    for family in ("sp", "o"):
         for n in range(grid.n_range[0], grid.n_range[1] + 1):
             for m in range(grid.m_range[0], grid.m_range[1] + 1):
                 for alpha in alphas:
@@ -576,7 +571,7 @@ def check_fock_vs_determinant(grid: Grid) -> CheckReport:
                             continue
                         b = beta.with_declared(l)
                         me = fock.matrix_element(b, n, m, alpha, family)
-                        det = skew(alpha, b, n, m)
+                        det = skew(family, alpha, b, n, m)
                         ses.check(
                             (alpha.weight, family, n, m, beta.parts),
                             f"{family} alpha={alpha.parts} beta={beta.parts} "
@@ -626,7 +621,7 @@ def check_reductions(grid: Grid) -> CheckReport:
             if m < 2:
                 continue
             for lam in _lams(grid.max_weight, n + 1):
-                base = sp_universal(lam, n, m)
+                base = universal("sp", lam, n, m)
                 for j in range(1, m):
                     swapped = base.rename(
                         {zvar(j): zvar(j + 1), zvar(j + 1): zvar(j)}
@@ -662,10 +657,10 @@ SUITES = {
     "branching_sp": lambda grid: check_branching("sp", grid),
     "branching_o": lambda grid: check_branching("o", grid),
     "branching_odd_sp": check_branching_odd_sp,
-    "cauchy_sp": lambda grid: check_cauchy("sp_universal", grid),
+    "cauchy_sp": lambda grid: check_cauchy("sp", grid),
     "cauchy_sp_odd": lambda grid: check_cauchy("sp_odd", grid),
     "cauchy_sp_n0": lambda grid: check_cauchy("sp_n0", grid),
-    "cauchy_o": lambda grid: check_cauchy("o_universal", grid),
+    "cauchy_o": lambda grid: check_cauchy("o", grid),
     "transition_odd": check_transition_odd,
     "gt_sum": check_gt_sum,
     "fock_vs_determinant": check_fock_vs_determinant,

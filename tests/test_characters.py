@@ -14,22 +14,18 @@ from hypothesis import strategies as st
 
 from spochar import characters, series
 from spochar.characters import (
-    CharSpec,
     DimensionCapExceeded,
     LastPartNonzero,
     PartitionTooLong,
-    compute,
     o_even_bialternant,
     o_intermediate_reduce,
     o_odd_closed,
-    o_skew,
-    o_universal,
     schur,
+    skew,
     skew_det,
     sp_bialternant,
     sp_odd_bialternant,
-    sp_skew,
-    sp_universal,
+    universal,
     universal_det,
 )
 from spochar.partitions import Partition, enumerate_partitions, interlaces, subpartitions
@@ -43,44 +39,44 @@ MINUS = LaurentPoly.constant(Fraction(-1))
 
 
 def test_sp_universal_empty_shape():
-    assert sp_universal(P(()), 2, 1) == ONE
+    assert universal("sp", P(()), 2, 1) == ONE
 
 
 def test_sp_universal_single_box():
-    assert sp_universal(P((1,)), 1, 1).text() == "z1 + x1 + x1^-1"
-    assert sp_universal(P((1,)), 1, 0).text() == "x1 + x1^-1"
+    assert universal("sp", P((1,)), 1, 1).text() == "z1 + x1 + x1^-1"
+    assert universal("sp", P((1,)), 1, 0).text() == "x1 + x1^-1"
 
 
 def test_o_universal_empty_shape():
-    assert o_universal(P(()), 1, 2) == ONE
+    assert universal("o", P(()), 1, 2) == ONE
 
 
 def test_o_universal_single_box():
-    assert o_universal(P((1,)), 1, 0).text() == "x1 + x1^-1"
-    assert o_universal(P((1,)), 1, 1).text() == "z1 + x1 + x1^-1"
+    assert universal("o", P((1,)), 1, 0).text() == "x1 + x1^-1"
+    assert universal("o", P((1,)), 1, 1).text() == "z1 + x1 + x1^-1"
 
 
 def test_universal_integer_coefficients():
     for lam in enumerate_partitions(3, 5):
-        sp_universal(lam, 2, 1).require_integer()
-        o_universal(lam, 2, 1).require_integer()
+        universal("sp", lam, 2, 1).require_integer()
+        universal("o", lam, 2, 1).require_integer()
 
 
 def test_universal_shape_too_long():
     with pytest.raises(PartitionTooLong):
-        sp_universal(P((1, 1, 1)), 1, 1)
+        universal("sp", P((1, 1, 1)), 1, 1)
     with pytest.raises(PartitionTooLong):
-        o_universal(P((2, 1, 1)), 2, 0)
+        universal("o", P((2, 1, 1)), 2, 0)
 
 
 def test_universal_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
-        sp_universal(P(()), 4, 3)
+        universal("sp", P(()), 4, 3)
 
 
 def test_universal_symmetry_generators():
-    for fn in (sp_universal, o_universal):
-        c = fn(P((2, 1)), 2, 2)
+    for family in ("sp", "o"):
+        c = universal(family, P((2, 1)), 2, 2)
         assert c.rename({xvar(1): xvar(2), xvar(2): xvar(1)}) == c
         assert c.rename({zvar(1): zvar(2), zvar(2): zvar(1)}) == c
         inv = c.substitute({xvar(1): LaurentPoly.variable(xvar(1), -1)})
@@ -92,29 +88,29 @@ def test_universal_symmetry_generators():
 
 def test_skew_equal_shapes_is_one():
     lam = P((2, 1)).with_declared(2)
-    assert sp_skew(P((2, 1)), lam, 1, 1) == ONE
-    assert o_skew(P((2, 1)), lam, 1, 1) == ONE
+    assert skew("sp", P((2, 1)), lam, 1, 1) == ONE
+    assert skew("o", P((2, 1)), lam, 1, 1) == ONE
 
 
 def test_skew_not_contained_is_zero():
-    assert sp_skew(P((2,)), P((1, 1)).with_declared(2), 1, 1) == ZERO
-    assert o_skew(P((1,)), P((2,)).with_declared(1), 1, 1) == ZERO
+    assert skew("sp", P((2,)), P((1, 1)).with_declared(2), 1, 1) == ZERO
+    assert skew("o", P((1,)), P((2,)).with_declared(1), 1, 1) == ZERO
 
 
 def test_skew_empty_inner_is_universal():
     inner = P(()).with_declared(0)
     for lam in [P(()), P((1,)), P((2, 1))]:
-        assert sp_skew(lam, inner, 2, 1) == sp_universal(lam, 2, 1)
-        assert o_skew(lam, inner, 2, 1) == o_universal(lam, 2, 1)
+        assert skew("sp", lam, inner, 2, 1) == universal("sp", lam, 2, 1)
+        assert skew("o", lam, inner, 2, 1) == universal("o", lam, 2, 1)
 
 
 def test_skew_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
-        sp_skew(P((1,)), P(()).with_declared(5), 2, 2)
+        skew("sp", P((1,)), P(()).with_declared(5), 2, 2)
 
 
 def test_skew_integer_coefficients():
-    out = sp_skew(P((3, 1)), P((1,)).with_declared(1), 1, 1)
+    out = skew("sp", P((3, 1)), P((1,)).with_declared(1), 1, 1)
     out.require_integer()
     assert not out.is_zero()
 
@@ -122,8 +118,8 @@ def test_skew_integer_coefficients():
 def test_single_z_collapse_on_strips():
     # over one plain z variable, a skew character is a single power of z when
     # the pair forms a horizontal strip, else zero
-    assert sp_skew(P((2, 2)), P((2,)).with_declared(2), 0, 1).text() == "z1^2"
-    assert sp_skew(P((2, 2)), P((1, 1)).with_declared(2), 0, 1) == ZERO
+    assert skew("sp", P((2, 2)), P((2,)).with_declared(2), 0, 1).text() == "z1^2"
+    assert skew("sp", P((2, 2)), P((1, 1)).with_declared(2), 0, 1) == ZERO
     for lam in enumerate_partitions(3, 5):
         for mu in subpartitions(lam, lam.length):
             got = skew_det("sp", lam, mu.with_declared(lam.length), 0, 1)
@@ -164,10 +160,10 @@ def test_seq_with_repeated_shifted_weight_vanishes():
 
 def test_universal_det_matches_public_form():
     for lam in enumerate_partitions(3, 4):
-        want = sp_universal(lam, 2, 1)
+        want = universal("sp", lam, 2, 1)
         assert universal_det("sp", lam.parts, 2, 1) == want
         assert universal_det("sp", lam.padded(3), 2, 1) == want
-        assert universal_det("o", lam.parts, 2, 1) == o_universal(lam, 2, 1)
+        assert universal_det("o", lam.parts, 2, 1) == universal("o", lam, 2, 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -193,7 +189,7 @@ def test_universal_det_survives_past_variable_count():
     # the public entry still rejects the shape
     assert universal_det("sp", (1, 1), 0, 1) == MINUS
     with pytest.raises(PartitionTooLong):
-        sp_universal(P((1, 1)), 0, 1)
+        universal("sp", P((1, 1)), 0, 1)
 
 
 def test_universal_builds_the_matrix_at_the_shape_length(monkeypatch):
@@ -205,15 +201,15 @@ def test_universal_builds_the_matrix_at_the_shape_length(monkeypatch):
         return real(kind, alpha, *rest)
 
     monkeypatch.setattr(characters, "_jt_det", record)
-    sp_universal(P((2, 1)), 2, 1)
+    universal("sp", P((2, 1)), 2, 1)
     assert [len(a) for a in alphas] == [2]
 
 
 def test_skew_det_matches_public_form():
     inner = P((1,)).with_declared(1)
     for lam in [P((2, 1)), P((3, 1)), P((1, 1))]:
-        assert skew_det("sp", lam, inner, 1, 1) == sp_skew(lam, inner, 1, 1)
-        assert skew_det("o", lam, inner, 1, 1) == o_skew(lam, inner, 1, 1)
+        assert skew_det("sp", lam, inner, 1, 1) == skew("sp", lam, inner, 1, 1)
+        assert skew_det("o", lam, inner, 1, 1) == skew("o", lam, inner, 1, 1)
 
 
 # --- Schur polynomials ---
@@ -318,35 +314,35 @@ def test_schur_requests_exactly_the_h_table_it_reads(monkeypatch, parts):
 def test_sp_bialternant_values():
     assert sp_bialternant(P((1,)), 1).text() == "x1 + x1^-1"
     assert sp_bialternant(P(()), 2) == ONE
-    assert sp_bialternant(P((1, 1)), 2) == sp_universal(P((1, 1)), 2, 0)
+    assert sp_bialternant(P((1, 1)), 2) == universal("sp", P((1, 1)), 2, 0)
 
 
 def test_sp_odd_bialternant_values():
     assert sp_odd_bialternant(P(()), 1) == ONE
     assert sp_odd_bialternant(P((1,)), 1).text() == "z1 + x1 + x1^-1"
-    assert sp_odd_bialternant(P((1, 1)), 1) == sp_universal(P((1, 1)), 1, 1)
+    assert sp_odd_bialternant(P((1, 1)), 1) == universal("sp", P((1, 1)), 1, 1)
 
 
 def test_sp_odd_jt_values():
-    assert sp_universal(P(()), 1, 1) == ONE
-    assert sp_universal(P((1,)), 1, 1).text() == "z1 + x1 + x1^-1"
-    got = sp_universal(P((2,)), 1, 1).text()
+    assert universal("sp", P(()), 1, 1) == ONE
+    assert universal("sp", P((1,)), 1, 1).text() == "z1 + x1 + x1^-1"
+    got = universal("sp", P((2,)), 1, 1).text()
     assert got == "z1^2 + x1^2 + x1*z1 + x1^-1*z1 + 1 + x1^-2"
 
 
 def test_o_even_bialternant_values():
     assert o_even_bialternant(P(()), 2) == ONE
-    assert o_even_bialternant(P((1,)), 2) == o_universal(P((1,)), 2, 0)
+    assert o_even_bialternant(P((1,)), 2) == universal("o", P((1,)), 2, 0)
     # full-length shape exercises the doubled branch
-    assert o_even_bialternant(P((1, 1)), 2) == o_universal(P((1, 1)), 2, 0)
-    assert o_even_bialternant(P((2, 1)), 2) == o_universal(P((2, 1)), 2, 0)
+    assert o_even_bialternant(P((1, 1)), 2) == universal("o", P((1, 1)), 2, 0)
+    assert o_even_bialternant(P((2, 1)), 2) == universal("o", P((2, 1)), 2, 0)
 
 
 def test_o_odd_closed_values():
     assert o_odd_closed(P((1,)), 1, 1).text() == "x1 + 1 + x1^-1"
     assert o_odd_closed(P((1,)), 1, -1).text() == "x1 - 1 + x1^-1"
     assert o_odd_closed(P(()), 1, 1) == ONE
-    assert o_odd_closed(P((1,)), 1, "symbolic") == o_universal(P((1,)), 1, 1)
+    assert o_odd_closed(P((1,)), 1, "symbolic") == universal("o", P((1,)), 1, 1)
 
 
 def test_o_odd_closed_signed_specializations_agree():
@@ -368,20 +364,22 @@ def test_o_odd_closed_rejects_full_length():
 def test_o_intermediate_reduce_values():
     assert o_intermediate_reduce(P(()), 1, 1) == ONE
     got = o_intermediate_reduce(P((1,)), 1, 1)
-    assert got == o_universal(P((1,)), 1, 1)
-    assert o_intermediate_reduce(P((2, 1)), 2, 1) == o_universal(P((2, 1)), 2, 1)
+    assert got == universal("o", P((1,)), 1, 1)
+    assert o_intermediate_reduce(P((2, 1)), 2, 1) == universal("o", P((2, 1)), 2, 1)
 
 
-# --- dispatch ---
+# --- family and variable-count checks ---
 
 
-def test_compute_dispatch():
-    sp = CharSpec("sp", 1, 1, P((1,)))
-    assert compute(sp) == sp_universal(P((1,)), 1, 1)
-    sk = CharSpec("o", 1, 0, P((2, 1)), P((1,)).with_declared(1))
-    assert compute(sk) == o_skew(P((2, 1)), P((1,)).with_declared(1), 1, 0)
-
-
-def test_compute_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        CharSpec("unitary", 1, 0, P(()))
+def test_entry_points_reject_unknown_family():
+    inner = P((1,)).with_declared(1)
+    with pytest.raises(ValueError, match="family"):
+        universal("unitary", P(()), 1, 0)
+    with pytest.raises(ValueError, match="family"):
+        skew("unitary", P((1,)), inner, 1, 0)
+    # negative counts are rejected before any shape or cap check
+    for n, m in ((-1, 1), (1, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="variable counts must be >= 0"):
+            universal("sp", P(()), n, m)
+        with pytest.raises(ValueError, match="variable counts must be >= 0"):
+            skew("o", P(()), inner, n, m)

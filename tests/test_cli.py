@@ -50,6 +50,18 @@ def test_compute_skew(capsys):
     assert out.strip() == "x1^2 + 2 + x1^-2"
 
 
+def test_compute_dispatch(capsys):
+    # with no inner shape the universal cap n + m <= 6 applies; an inner
+    # shape of declared length 1 sends the same shape through the skew
+    # determinant, whose cap is l + n + m <= 8
+    argv = ["compute", "--family", "sp", "--n", "4", "--m", "3", "--outer", "1"]
+    assert main(argv) == 2
+    assert "n + m = 7 > 6" in capsys.readouterr().err
+    code, out = run(capsys, *argv, "--inner", "0")
+    assert code == 0
+    assert out.strip() == "z3 + z2 + z1 + x4 + x3 + x2 + x1 + x4^-1 + x3^-1 + x2^-1 + x1^-1"
+
+
 def test_compute_json_schema(capsys):
     code, out = run(
         capsys, "compute", "--family", "sp", "--n", "1", "--m", "1",
@@ -275,6 +287,7 @@ def test_usage_errors_exit_2(capsys):
         ["fock", "--matrix-element", "--beta", "", "--alpha", "1", "--n", "-1", "--m", "2"],
         ["fock", "--matrix-element", "--beta", "", "--alpha", "1", "--n", "2", "--m", "-1"],
         ["fock", "--matrix-element", "--beta", "", "--alpha", "", "--n", "-1", "--m", "0"],
+        ["compute", "--family", "sp", "--n", "-1", "--m", "0", "--outer", ""],
         ["verify", "--suite", "newton", "--eval-points", "-1"],
     ],
 )

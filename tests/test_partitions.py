@@ -141,13 +141,18 @@ def test_partitions_of_respects_max_part():
 
 
 def test_subpartitions_matches_containment():
-    lam = Partition((3, 2))
-    got = [p.parts for p in subpartitions(lam, 2)]
-    assert len(got) == len(set(got))
-    want = {
-        t for t in all_partitions_brute(2, lam.weight) if contains(Partition(t), lam)
-    }
-    assert set(got) == want
+    for lam in enumerate_partitions(6, 6):
+        for max_len in range(6):
+            subs = list(subpartitions(lam, max_len))
+            got = [p.parts for p in subs]
+            assert len(got) == len(set(got)), (lam.parts, max_len)
+            assert all(p.declared_len == p.length for p in subs)
+            want = {
+                t
+                for t in all_partitions_brute(max_len, lam.weight)
+                if contains(Partition(t), lam)
+            }
+            assert set(got) == want, (lam.parts, max_len)
 
 
 def test_subpartitions_length_cut():

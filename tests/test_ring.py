@@ -268,6 +268,21 @@ def test_ring_axioms(a, b, c):
     assert a * ZERO == ZERO
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), polys(), polys(), st.sampled_from([xvar, zvar, yvar]), st.integers(-3, 4))
+def test_mul_truncated_is_the_product_with_high_terms_dropped(a, b, c, d, fam, cap):
+    # products of the one-variable draws give mixed monomials with negative
+    # degrees, and the shared summands make partial products cancel
+    left, right = a * b + c, (b - a) * (d + c) + a
+    rank = fam(1).rank
+    kept = {
+        m: coeff
+        for m, coeff in (left * right).items()
+        if sum(e for v, e in m if v.rank == rank) <= cap
+    }
+    assert left.mul_truncated(right, rank, cap) == LaurentPoly(kept)
+
+
 @settings(max_examples=30, deadline=None)
 @given(polys(max_terms=2), polys(max_terms=2), polys(max_terms=2), polys(max_terms=2))
 def test_det_linear_in_first_row(a, b, c, d):
