@@ -6,19 +6,7 @@ Fock-space operator calculus (`fock`).  The `verify` module turns every
 identity relating them into a bounded exact check.
 """
 
-from .characters import (
-    DivisionWitnessFailed,
-    LastPartNonzero,
-    ReductionMismatch,
-    o_even_bialternant,
-    o_intermediate_reduce,
-    o_odd_closed,
-    schur,
-    skew,
-    sp_bialternant,
-    sp_odd_bialternant,
-    universal,
-)
+from .characters import bialternant, o_intermediate_reduce, schur, skew, universal
 from . import characters, fock, partitions, ring, series
 from .fock import (
     FockVector,

@@ -4,8 +4,9 @@ Every character here is a determinant with entries drawn from the h-families
 of :mod:`spochar.series`.  The universal symplectic/orthogonal functions live
 in n paired variables x_i, x_i^{-1} and m plain variables z_j; skew variants
 take an inner partition whose declared length fixes the matrix dimension.
-Closed bialternant forms (ratios of alternants) are verified multiplicatively:
-instead of dividing, `numerator == denominator * candidate` is asserted, so
+Closed bialternant forms (ratios of alternants) come back as the two sides of
+their multiplicative witness: instead of dividing, `bialternant` returns the
+numerator and denominator * character for the caller to compare, so
 everything stays inside the polynomial ring.  Half-integer exponents are
 handled by the global substitution x_i = t_i^2.
 
@@ -33,18 +34,6 @@ from .series import HSpec, h_seq, h_seq_y
 
 UNIVERSAL_DIM_CAP = 6  # n + m
 SKEW_DIM_CAP = 8  # l + n + m
-
-
-class DivisionWitnessFailed(ArithmeticError):
-    """A closed-form ratio failed its multiplicative witness check."""
-
-
-class LastPartNonzero(ValueError):
-    """The odd-orthogonal closed form needs lambda_{n+1} = 0."""
-
-
-class ReductionMismatch(ArithmeticError):
-    """A reduced determinant disagrees with the universal one."""
 
 
 def _h(hs: Sequence[LaurentPoly], k: int) -> LaurentPoly:
@@ -186,7 +175,9 @@ def schur(lam: Partition, k: int) -> LaurentPoly:
     return _schur(lam.padded(k), k).require_integer()
 
 
-# -- closed bialternant forms, verified multiplicatively --------------------
+# -- closed bialternant forms, as the two sides of their witness -------------
+
+BIALTERNANT_KINDS = ("sp", "sp_odd", "o_even", "o_odd z=1", "o_odd z=-1")
 
 
 def _xpow_diff(v, e: int) -> LaurentPoly:
@@ -194,6 +185,14 @@ def _xpow_diff(v, e: int) -> LaurentPoly:
     if e == 0:
         return ZERO
     return LaurentPoly.variable(v, e) - LaurentPoly.variable(v, -e)
+
+
+_ZINV = LaurentPoly.variable(zvar(1), -1)
+
+
+def _xpow_diff_z(v, e: int) -> LaurentPoly:
+    # v^e - v^{-e} - z^{-1}(v^{e-1} - v^{1-e}); in the z row this is z^e - z^{e-2}
+    return _xpow_diff(v, e) - _ZINV * _xpow_diff(v, e - 1)
 
 
 def _xpow_sum(v, e: int) -> LaurentPoly:
@@ -206,102 +205,62 @@ def _alternant(make, vs: Sequence, exps: Sequence[int]) -> list[list[LaurentPoly
     return [[make(v, e) for e in exps] for v in vs]
 
 
-def _witness(
-    num: list[list[LaurentPoly]],
-    den: list[list[LaurentPoly]],
-    candidate: LaurentPoly,
-    what: str,
-    factor: int = 1,
-) -> None:
-    # factor * det(num) == det(den) * candidate, without dividing
-    if det_of(num) * factor != det_of(den) * candidate:
-        raise DivisionWitnessFailed(what)
+def bialternant(kind: str, lam: Partition, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two sides (factor * det(num), det(den) * character) of a closed
+    ratio-of-alternants form over n paired variables; the form holds exactly
+    when they are equal, so nothing is divided.
+
+    `kind` is one of BIALTERNANT_KINDS: the symplectic character ("sp"), the
+    odd symplectic one with a plain variable z over n + 1 rows ("sp_odd"),
+    the even orthogonal one ("o_even"), or the odd orthogonal one with z set
+    to +1 or -1, whose half-integer exponents are read through x_i = t_i^2.
+    """
+    if kind not in BIALTERNANT_KINDS:
+        known = ", ".join(BIALTERNANT_KINDS)
+        raise ValueError(f"unknown bialternant kind {kind!r}; known: {known}")
+    rows = n + 1 if kind == "sp_odd" else n
+    if lam.length > rows:
+        raise PartitionTooLong(f"{lam.parts} needs more than {rows} rows")
+    lp = lam.padded(rows)
+    vs = [xvar(i) for i in range(1, n + 1)]
+    # the shape over a staircase: rows..1 for sp, rows-1..0 for o
+    top = rows if kind in ("sp", "sp_odd") else rows - 1
+    num_exps = [a + top - j for j, a in enumerate(lp)]
+    den_exps = [top - j for j in range(rows)]
+    factor = 1
+    if kind in ("sp", "sp_odd"):
+        character = universal("sp", lam, n, rows - n)
+        make = den_make = _xpow_diff
+        if kind == "sp_odd":
+            vs.append(zvar(1))
+            make = _xpow_diff_z
+    elif kind == "o_even":
+        character = universal("o", lam, n, 0)
+        make = den_make = _xpow_sum
+        # a nonzero last part doubles the ratio (the shape then indexes a pair)
+        if rows and lp[-1]:
+            factor = 2
+    else:
+        z_value = 1 if kind == "o_odd z=1" else -1
+        sub = {xvar(i): LaurentPoly.variable(tvar(i), 2) for i in range(1, n + 1)}
+        sub[zvar(1)] = LaurentPoly.constant(z_value)
+        character = universal("o", lam, n, 1).substitute(sub)
+        vs = [tvar(i) for i in range(1, n + 1)]
+        num_exps = [2 * e + 1 for e in num_exps]
+        den_exps = [2 * e + 1 for e in den_exps]
+        make = den_make = _xpow_diff if z_value == 1 else _xpow_sum
+    if rows == 0:
+        # lam is empty and both alternants are the empty determinant
+        return ONE, character
+    num = _alternant(make, vs, num_exps)
+    den = _alternant(den_make, vs, den_exps)
+    return det_of(num) * factor, det_of(den) * character
 
 
-def sp_bialternant(lam: Partition, n: int) -> LaurentPoly:
-    """Symplectic character as a ratio of alternants, checked without division."""
-    if lam.length > n:
-        raise PartitionTooLong(f"{lam.parts} needs more than {n} rows")
-    candidate = universal("sp", lam, n, 0)
-    if n == 0:
-        return candidate
-    lp = lam.padded(n)
-    xs = [xvar(i) for i in range(1, n + 1)]
-    num = _alternant(_xpow_diff, xs, [lp[j - 1] + n - j + 1 for j in range(1, n + 1)])
-    den = _alternant(_xpow_diff, xs, [n - j + 1 for j in range(1, n + 1)])
-    _witness(num, den, candidate, f"sp bialternant {lp} n={n}")
-    return candidate
-
-
-def sp_odd_bialternant(lam: Partition, n: int) -> LaurentPoly:
-    """Odd symplectic character (one distinguished plain variable) as a ratio
-    of (n+1)-dimensional alternants, checked without division."""
-    if lam.length > n + 1:
-        raise PartitionTooLong(f"{lam.parts} needs more than {n + 1} rows")
-    candidate = universal("sp", lam, n, 1)
-    lp = lam.padded(n + 1)
-    z = zvar(1)
-    zinv = LaurentPoly.variable(z, -1)
-    vs = [xvar(i) for i in range(1, n + 1)] + [z]
-
-    def make(v, e: int) -> LaurentPoly:
-        # in the z row this is z^{e+1} - z^{e-1}
-        return _xpow_diff(v, e + 1) - zinv * _xpow_diff(v, e)
-
-    num = _alternant(make, vs, [lp[j - 1] + n - j + 1 for j in range(1, n + 2)])
-    den = _alternant(_xpow_diff, vs, [n - j + 2 for j in range(1, n + 2)])
-    _witness(num, den, candidate, f"sp odd bialternant {lp} n={n}")
-    return candidate
-
-
-def o_even_bialternant(lam: Partition, l: int) -> LaurentPoly:
-    """Even orthogonal character over l paired variables as a ratio of
-    alternants; the shape of the numerator depends on whether lambda_l = 0."""
-    if lam.length > l:
-        raise PartitionTooLong(f"{lam.parts} needs more than {l} rows")
-    candidate = universal("o", lam, l, 0)
-    if l == 0:
-        return candidate
-    lp = lam.padded(l)
-    xs = [xvar(i) for i in range(1, l + 1)]
-    num = _alternant(_xpow_sum, xs, [lp[j - 1] + l - j for j in range(1, l + 1)])
-    den = _alternant(_xpow_sum, xs, [l - j for j in range(1, l + 1)])
-    # a nonzero last part doubles the ratio (the shape then indexes a pair)
-    factor = 1 if lp[l - 1] == 0 else 2
-    _witness(num, den, candidate, f"o even {lp} l={l}", factor)
-    return candidate
-
-
-def o_odd_closed(lam: Partition, n: int, z_value) -> LaurentPoly:
-    """Odd orthogonal character with the plain variable z left symbolic or
-    specialized to +1/-1; specializations are checked against half-integer
-    alternants through the substitution x_i = t_i^2."""
-    if lam.length > n:
-        raise LastPartNonzero(f"{lam.parts} must leave row {n + 1} empty")
-    symbolic = universal("o", lam, n, 1)
-    if z_value == "symbolic":
-        return symbolic
-    if z_value not in (1, -1):
-        raise ValueError("z_value must be 'symbolic', 1, or -1")
-    candidate = symbolic.substitute({zvar(1): LaurentPoly.constant(z_value)})
-    if n > 0:
-        lp = lam.padded(n)
-        tsub = {xvar(i): LaurentPoly.variable(tvar(i), 2) for i in range(1, n + 1)}
-        ts = [tvar(i) for i in range(1, n + 1)]
-        make = _xpow_diff if z_value == 1 else _xpow_sum
-        num = _alternant(make, ts, [2 * lp[j - 1] + 2 * (n - j) + 1 for j in range(1, n + 1)])
-        den = _alternant(make, ts, [2 * (n - j) + 1 for j in range(1, n + 1)])
-        _witness(num, den, candidate.substitute(tsub), f"o odd z={z_value} {lp} n={n}")
-    return candidate
-
-
-def o_intermediate_reduce(lam: Partition, n: int, m: int) -> LaurentPoly:
+def o_intermediate_reduce(lam: Partition, n: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The n x n determinant over h'_k = h_k - h_{k-2} that the padded
-    universal orthogonal character collapses to; asserts the collapse."""
+    universal orthogonal character collapses to, beside that character."""
     if lam.length > n:
         raise PartitionTooLong(f"{lam.parts} needs more than {n} rows")
     target = universal("o", lam, n, m)
-    reduced = _jt_det("sp_hprime", lam.padded(n), (0,) * n, 0, n, m)
-    if reduced != target:
-        raise ReductionMismatch(f"h' reduction failed for {lam.parts} n={n} m={m}")
-    return reduced
+    return _jt_det("sp_hprime", lam.padded(n), (0,) * n, 0, n, m), target

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator
 
 
@@ -164,20 +165,9 @@ def gt_chains(lam: Partition, n: int) -> Iterator[GTChain]:
             return
         size = (k + 1) // 2
         up = upper.padded(size + 1)
-        picks: list[Partition] = []
-
-        def coords(i: int, prev: int, cur: list[int]) -> None:
-            if i == size:
-                picks.append(Partition(tuple(cur), declared_len=size))
-                return
-            lo, hi = up[i + 1], min(up[i], prev)
-            for p in range(lo, hi + 1):
-                cur.append(p)
-                coords(i + 1, p, cur)
-                cur.pop()
-
-        coords(0, up[0], [])
-        for z in picks:
+        # up[i] >= z_i >= up[i+1] already makes z decrease
+        for parts in product(*(range(up[i + 1], up[i] + 1) for i in range(size))):
+            z = Partition(parts, declared_len=size)
             yield from rec(k - 1, z, [z] + acc)
 
     for chain in rec(2 * n, top, [top]):

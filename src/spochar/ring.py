@@ -162,9 +162,6 @@ class LaurentPoly:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -23,16 +23,12 @@ from math import lcm
 
 from . import fock, series
 from .characters import (
-    DivisionWitnessFailed,
-    ReductionMismatch,
-    o_even_bialternant,
+    BIALTERNANT_KINDS,
+    bialternant,
     o_intermediate_reduce,
-    o_odd_closed,
     schur,
     skew,
     skew_det,
-    sp_bialternant,
-    sp_odd_bialternant,
     universal,
     universal_det,
 )
@@ -166,15 +162,6 @@ class _Session:
     def ok(self) -> None:
         self.instances += 1
 
-    def witness(self, key, desc: str, fn, *args) -> None:
-        """Record fn(*args), a closed form that raises if its witness fails."""
-        try:
-            fn(*args)
-        except (DivisionWitnessFailed, ReductionMismatch) as exc:
-            self.fail(key, desc, f"witness failed: {exc}", "")
-        else:
-            self.ok()
-
     def report(self) -> CheckReport:
         self._failures.sort(key=lambda f: (f[0], f[1]))
         return CheckReport(
@@ -278,24 +265,17 @@ def check_orthonormality(grid: Grid) -> CheckReport:
 def check_bialternants(grid: Grid) -> CheckReport:
     """Every closed ratio form against its determinant, multiplicatively."""
     ses = _Session("bialternants", grid)
-    n_hi = grid.n_range[1]
-    cases = []
-    for n in range(min(3, n_hi) + 1):
-        for lam in _lams(grid.max_weight, n):
-            cases.append(("sp", sp_bialternant, lam, n))
-    for n in range(min(2, n_hi) + 1):
-        for lam in _lams(grid.max_weight, n + 1):
-            cases.append(("sp_odd", sp_odd_bialternant, lam, n))
-    for l in range(min(3, n_hi) + 1):
-        for lam in _lams(grid.max_weight, l):
-            cases.append(("o_even", o_even_bialternant, lam, l))
-    for n in range(min(2, n_hi) + 1):
-        for lam in _lams(grid.max_weight, n):
-            for zv in (1, -1):
-                cases.append((f"o_odd z={zv}", o_odd_closed, lam, n, zv))
-    for tag, fn, lam, n, *rest in cases:
-        desc = f"{tag} lam={lam.parts} n={n}"
-        ses.witness((lam.weight, tag, n), desc, fn, lam, n, *rest)
+    n_lo, n_hi = grid.n_range
+    for kind in BIALTERNANT_KINDS:
+        # the forms with a plain variable z stop at n = 2; sp_odd has n+1 rows
+        cap = 3 if kind in ("sp", "o_even") else 2
+        for n in range(n_lo, min(cap, n_hi) + 1):
+            for lam in _lams(grid.max_weight, n + (kind == "sp_odd")):
+                ses.check(
+                    (lam.weight, kind, n),
+                    f"{kind} lam={lam.parts} n={n}",
+                    *bialternant(kind, lam, n),
+                )
     return ses.report()
 
 
@@ -327,10 +307,10 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                         rename.update({zvar(j): zvar(m - s + j) for j in zmove})
                         for eta in subpartitions(lam, big):
                             inner = universal_det(fam, eta.parts, n - k, m - s)
-                            if inner.is_zero():
+                            if not inner:
                                 continue
                             piece = skew_det(fam, lam, eta.with_declared(big), k, s)
-                            if piece.is_zero():
+                            if not piece:
                                 continue
                             if rename:
                                 piece = piece.rename(rename)
@@ -595,25 +575,19 @@ def check_reductions(grid: Grid) -> CheckReport:
     for n in range(grid.n_range[0], grid.n_range[1] + 1):
         for m in m_vals:
             for lam in _lams(grid.max_weight, n):
-                ses.witness(
+                ses.check(
                     (lam.weight, "reduce", n, m),
                     f"reduce lam={lam.parts} n={n} m={m}",
-                    o_intermediate_reduce,
-                    lam,
-                    n,
-                    m,
+                    *o_intermediate_reduce(lam, n, m),
                 )
     # (c) closed odd-orthogonal forms at z = +-1
-    for n in range(min(2, grid.n_range[1]) + 1):
+    for n in range(grid.n_range[0], min(2, grid.n_range[1]) + 1):
         for lam in _lams(grid.max_weight, n):
             for zv in (1, -1):
-                ses.witness(
+                ses.check(
                     (lam.weight, "o_odd", n, zv),
                     f"o_odd lam={lam.parts} n={n} z={zv}",
-                    o_odd_closed,
-                    lam,
-                    n,
-                    zv,
+                    *bialternant(f"o_odd z={zv}", lam, n),
                 )
     # (d) plain-block permutation stability for zero-padded shapes
     for n in range(grid.n_range[0], grid.n_range[1] + 1):

@@ -14,22 +14,19 @@ from hypothesis import strategies as st
 
 from spochar import characters, series
 from spochar.characters import (
+    BIALTERNANT_KINDS,
     DimensionCapExceeded,
-    LastPartNonzero,
     PartitionTooLong,
-    o_even_bialternant,
+    bialternant,
     o_intermediate_reduce,
-    o_odd_closed,
     schur,
     skew,
     skew_det,
-    sp_bialternant,
-    sp_odd_bialternant,
     universal,
     universal_det,
 )
 from spochar.partitions import Partition, enumerate_partitions, interlaces, subpartitions
-from spochar.ring import ONE, ZERO, LaurentPoly, xvar, zvar
+from spochar.ring import ONE, ZERO, LaurentPoly, tvar, xvar, zvar
 
 P = Partition
 MINUS = LaurentPoly.constant(Fraction(-1))
@@ -112,7 +109,7 @@ def test_skew_dimension_cap():
 def test_skew_integer_coefficients():
     out = skew("sp", P((3, 1)), P((1,)).with_declared(1), 1, 1)
     out.require_integer()
-    assert not out.is_zero()
+    assert out
 
 
 def test_single_z_collapse_on_strips():
@@ -136,7 +133,7 @@ def test_row_permutation_sign_rule():
     base_alpha = (3, 1, 0)
     inner = (1, 0, 0)
     base = characters._jt_det("sp", base_alpha, inner, 1, 1, 1)
-    assert not base.is_zero()
+    assert base
     for sigma in itertools.permutations(range(3)):
         sign = 1
         for i in range(3):
@@ -311,16 +308,39 @@ def test_schur_requests_exactly_the_h_table_it_reads(monkeypatch, parts):
 # --- bialternants and closed forms ---
 
 
-def test_sp_bialternant_values():
-    assert sp_bialternant(P((1,)), 1).text() == "x1 + x1^-1"
-    assert sp_bialternant(P(()), 2) == ONE
-    assert sp_bialternant(P((1, 1)), 2) == universal("sp", P((1, 1)), 2, 0)
+# (lam, n) per kind: the empty shape, one box, and a shape filling every row
+# (the doubled o_even branch, the z row of sp_odd)
+BIALTERNANT_CASES = {
+    "sp": [(P(()), 0), (P(()), 2), (P((1,)), 1), (P((1, 1)), 2), (P((2, 1)), 3)],
+    "sp_odd": [(P(()), 0), (P(()), 1), (P((1,)), 1), (P((1, 1)), 1), (P((2, 1)), 2)],
+    "o_even": [(P(()), 0), (P(()), 2), (P((1,)), 2), (P((1, 1)), 2), (P((2, 1)), 2)],
+    "o_odd z=1": [(P(()), 0), (P(()), 1), (P((1,)), 1), (P((2, 1)), 2)],
+    "o_odd z=-1": [(P(()), 0), (P(()), 1), (P((1,)), 1), (P((2, 1)), 2)],
+}
 
 
-def test_sp_odd_bialternant_values():
-    assert sp_odd_bialternant(P(()), 1) == ONE
-    assert sp_odd_bialternant(P((1,)), 1).text() == "z1 + x1 + x1^-1"
-    assert sp_odd_bialternant(P((1, 1)), 1) == universal("sp", P((1, 1)), 1, 1)
+@pytest.mark.parametrize("kind", BIALTERNANT_KINDS)
+def test_bialternant_sides_agree(kind):
+    for lam, n in BIALTERNANT_CASES[kind]:
+        lhs, rhs = bialternant(kind, lam, n)
+        assert lhs == rhs, (lam.parts, n)
+        assert lhs, (lam.parts, n)
+
+
+def test_bialternant_sides_are_not_divided():
+    # the sides are the alternants themselves: for one box over one pair,
+    # det(num) = x^2 - x^-2 and det(den) = x - x^-1
+    lhs, rhs = bialternant("sp", P((1,)), 1)
+    assert lhs.text() == "x1^2 - x1^-2"
+    assert rhs == lhs
+    # with no paired variables both alternants are empty: the sides are
+    # 1 and the character
+    assert bialternant("o_odd z=-1", P(()), 0) == (ONE, ONE)
+
+
+def test_bialternant_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown bialternant kind"):
+        bialternant("o_odd", P(()), 1)
 
 
 def test_sp_odd_jt_values():
@@ -330,42 +350,33 @@ def test_sp_odd_jt_values():
     assert got == "z1^2 + x1^2 + x1*z1 + x1^-1*z1 + 1 + x1^-2"
 
 
-def test_o_even_bialternant_values():
-    assert o_even_bialternant(P(()), 2) == ONE
-    assert o_even_bialternant(P((1,)), 2) == universal("o", P((1,)), 2, 0)
-    # full-length shape exercises the doubled branch
-    assert o_even_bialternant(P((1, 1)), 2) == universal("o", P((1, 1)), 2, 0)
-    assert o_even_bialternant(P((2, 1)), 2) == universal("o", P((2, 1)), 2, 0)
-
-
-def test_o_odd_closed_values():
-    assert o_odd_closed(P((1,)), 1, 1).text() == "x1 + 1 + x1^-1"
-    assert o_odd_closed(P((1,)), 1, -1).text() == "x1 - 1 + x1^-1"
-    assert o_odd_closed(P(()), 1, 1) == ONE
-    assert o_odd_closed(P((1,)), 1, "symbolic") == universal("o", P((1,)), 1, 1)
-
-
 def test_o_odd_closed_signed_specializations_agree():
-    # substituting the sign into the symbolic form reproduces the closed value
+    # the z = +-1 forms hold with paired variables to spare, and their sides
+    # live in the t_i alone: z is specialized and x_i = t_i^2
     for lam in [P(()), P((1,)), P((2,)), P((2, 1))]:
         n = max(lam.length, 1) + 1
-        sym = o_odd_closed(lam, n, "symbolic")
         for zv in (1, -1):
-            closed = o_odd_closed(lam, n, zv)
-            at_sign = sym.substitute({zvar(1): LaurentPoly.constant(Fraction(zv))})
-            assert at_sign == closed, (lam.parts, zv)
+            lhs, rhs = bialternant(f"o_odd z={zv}", lam, n)
+            assert lhs == rhs, (lam.parts, zv)
+            assert {v.rank for v in rhs.variables()} == {tvar(1).rank}
 
 
 def test_o_odd_closed_rejects_full_length():
-    with pytest.raises(LastPartNonzero):
-        o_odd_closed(P((1, 1)), 1, 1)
+    # lambda_{n+1} = 0 is the same condition as len(lambda) <= n
+    with pytest.raises(PartitionTooLong):
+        bialternant("o_odd z=1", P((1, 1)), 1)
+    with pytest.raises(PartitionTooLong):
+        bialternant("sp", P((1, 1)), 1)
+    with pytest.raises(PartitionTooLong):
+        bialternant("sp_odd", P((1, 1, 1)), 1)
 
 
 def test_o_intermediate_reduce_values():
-    assert o_intermediate_reduce(P(()), 1, 1) == ONE
-    got = o_intermediate_reduce(P((1,)), 1, 1)
-    assert got == universal("o", P((1,)), 1, 1)
-    assert o_intermediate_reduce(P((2, 1)), 2, 1) == universal("o", P((2, 1)), 2, 1)
+    assert o_intermediate_reduce(P(()), 1, 1) == (ONE, ONE)
+    reduced, target = o_intermediate_reduce(P((1,)), 1, 1)
+    assert reduced == target == universal("o", P((1,)), 1, 1)
+    reduced, target = o_intermediate_reduce(P((2, 1)), 2, 1)
+    assert reduced == target == universal("o", P((2, 1)), 2, 1)
 
 
 # --- family and variable-count checks ---

@@ -261,6 +261,14 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_broken_bialternant_exits_1(capsys, broken_universal):
+    code, out = run(capsys, "verify", "--suite", "bialternants")
+    assert code == 1
+    assert "suite bialternants: FAIL" in out
+    assert "  failed: o_even lam=(2, 1) n=2\n    lhs: " in out
+    assert "\n    rhs: \n" not in out
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["compute", "--family", "bogus", "--n", "1", "--m", "0", "--outer", "1"]) == 2
     capsys.readouterr()

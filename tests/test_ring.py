@@ -75,7 +75,7 @@ def test_add_zero_is_identity():
 def test_additive_inverse():
     p = X1 + LaurentPoly.constant(Fraction(-1)) * X1
     assert p == ZERO
-    assert p.is_zero()
+    assert not p
 
 
 def test_cancellation_in_sum():

@@ -131,6 +131,35 @@ def test_eval_points_agree_with_structural():
     assert rep.passed
 
 
+def test_suites_start_at_the_lowest_n():
+    # the closed forms and the z = +-1 witnesses of `reductions` run only
+    # from n_range[0] up
+    rep = run_suite("bialternants", Grid(n_range=(3, 3), max_weight=2))
+    assert rep.passed
+    assert rep.instances_run == 8
+    rep = run_suite("reductions", Grid(n_range=(2, 2), max_weight=2))
+    assert rep.passed
+    assert rep.instances_run == 62
+
+
+def test_broken_bialternant_reports_both_sides(broken_universal):
+    rep = run_suite("bialternants", Grid(max_weight=3))
+    assert rep.instances_run == 75
+    assert [d for d, _, _ in rep.failures] == [
+        "o_even lam=(2, 1) n=2",
+        "o_even lam=(2, 1) n=3",
+        "o_odd z=-1 lam=(2, 1) n=2",
+        "o_odd z=1 lam=(2, 1) n=2",
+        "sp lam=(2, 1) n=2",
+        "sp lam=(2, 1) n=3",
+        "sp_odd lam=(2, 1) n=1",
+        "sp_odd lam=(2, 1) n=2",
+    ]
+    # both sides rendered (each cut to 160 characters, so they may print alike)
+    for _, lhs, rhs in rep.failures:
+        assert lhs and rhs
+
+
 def test_cauchy_o_records_variant_note():
     rep = run_suite("cauchy_o", SMALL)
     assert rep.passed
