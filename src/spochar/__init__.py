@@ -10,7 +10,6 @@ from .characters import bialternant, o_intermediate_reduce, schur, skew, univers
 from . import characters, fock, partitions, ring, series
 from .fock import (
     FockVector,
-    SlotOverflow,
     ZeroModeRequested,
     apply_mode,
     gamma_plus,
@@ -37,6 +36,7 @@ from .ring import (
     MissingAssignment,
     NonIntegerCoefficient,
     NonSquareMatrix,
+    SlotOverflow,
     VarName,
     ZeroAssignedToLaurentVariable,
     var,

@@ -59,7 +59,7 @@ from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .partitions import Partition, PartitionTooLong, partitions_of
-from .ring import ONE, ZERO, LaurentPoly, xvar, zvar
+from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, zvar
 
 # Coefficients are int/Fraction; after gamma_plus they are LaurentPolys.  The
 # operations below use only +, * and truthiness, so they accept either.
@@ -92,11 +92,6 @@ _PLAIN_OF = {"sp": "Y", "o": "W"}
 
 def vacuum() -> FockVector:
     return {(): 1}
-
-
-class SlotOverflow(ValueError):
-    """A packed value's bound reached 2^(SLOT_BITS-1), where packing stops being
-    injective; no result is read from it."""
 
 
 SLOT_BITS = 128  # bits per packed slot; a multiple of 8 (`unpack` reads bytes)

@@ -3,16 +3,28 @@
 Coefficients are arbitrary-precision rationals (``int`` or
 ``fractions.Fraction``), monomials are sparse maps from named variables to
 nonzero integer exponents (negative exponents allowed), and every polynomial
-is kept in canonical form: no zero coefficients, no zero exponents, and a
-fixed total order on monomials.  The order -- graded by total degree, ties
-broken by comparing the sorted ``(variable, exponent)`` sequences -- is a
-module constant so that text and JSON output are byte-stable across runs.
+is kept in canonical form: no zero coefficients, no zero exponents.
 
 Variables come in four families, ordered ``x < z < y < t``; a variable is
 identified by ``(family, index)``.  The ``x`` family is the one used with
 inverted exponents by the character formulas, ``z`` holds the extra plain
 variables, ``y`` is reserved for Schur/Cauchy expansions, and ``t`` for the
 square-root substitution x_i = t_i^2.
+
+Inside a polynomial a monomial is one int.  Variable (rank r, index i) owns
+slot s = 4(i - 1) + r, and exponents e_s pack as K = sum_s e_s * 2^(B*s),
+B = SLOT_BITS.  The layout is fixed, so a key means the same monomial in
+every process and after `clear_caches`.  Packing is linear: a product of
+monomials is a sum of keys.  While every |e_s| < 2^(B-1) it is injective,
+since K has one base-2^B expansion with digits in [-2^(B-1), 2^(B-1)), which
+`_decode` reads back.  Each polynomial carries a bound on its |exponents|
+(sums keep the larger, products add them, substitutions scale them); every
+operation that can grow an exponent checks its bound first and raises
+`SlotOverflow` once it reaches 2^(B-1), so no result is read from a key whose
+slots could alias.  Tuple monomials, ``((var, exp), ...)`` sorted by
+variable, appear only at the boundary (`monomial`, `items`, `sorted_terms`).
+Output order -- graded by total degree, ties broken by comparing those
+tuples -- is applied only when rendering, so text and JSON are byte-stable.
 """
 
 from __future__ import annotations
@@ -25,6 +37,8 @@ Coeff = Union[int, Fraction]
 
 FAMILY_NAMES: tuple[str, ...] = ("x", "z", "y", "t")
 
+SLOT_BITS = 16  # bits per packed exponent slot: |exponent| < 2^15
+
 
 class NonSquareMatrix(ValueError):
     """Determinant requested for a matrix with rows != cols."""
@@ -32,6 +46,11 @@ class NonSquareMatrix(ValueError):
 
 class DimensionCapExceeded(ValueError):
     """Determinant dimension is above the configured safety cap."""
+
+
+class SlotOverflow(ValueError):
+    """A packed value's bound reached 2^(SLOT_BITS-1), where packing stops being
+    injective; no result is read from it."""
 
 
 class MissingAssignment(KeyError):
@@ -84,40 +103,45 @@ def tvar(i: int) -> VarName:
     return var("t", i)
 
 
-# A monomial is a tuple of (variable, nonzero exponent) pairs sorted by
-# variable.  The empty tuple is the unit monomial.
+# A boundary monomial: (variable, exponent) pairs, one per variable, sorted.
 Monomial = tuple
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _checked(bound: int) -> int:
+    """Return an exponent bound, or raise SlotOverflow once packing could alias."""
+    if bound >> (SLOT_BITS - 1):
+        raise SlotOverflow(
+            f"exponent bound {bound} reaches the {SLOT_BITS}-bit monomial slot"
+        )
+    return bound
 
 
-def monomial_key(m: Monomial) -> tuple:
-    """Sort key realizing the module-wide monomial order."""
-    return (monomial_degree(m), m)
+def _var_key(v: VarName) -> int:
+    return 1 << (SLOT_BITS * (len(FAMILY_NAMES) * (v.index - 1) + v.rank))
+
+
+@lru_cache(maxsize=1 << 18)
+def _decode(key: int) -> Monomial:
+    """The tuple monomial of a packed key: its balanced base-2^B digits."""
+    width, half = len(FAMILY_NAMES), 1 << (SLOT_BITS - 1)
+    mask = (1 << SLOT_BITS) - 1
+    out = []
+    s = 0
+    while key:
+        e = ((key + half) & mask) - half
+        if e:
+            out.append((VarName(s % width, s // width + 1), e))
+        key = (key - e) >> SLOT_BITS
+        s += 1
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=1 << 18)
 def merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for v, e in b:
-        ne = d.get(v, 0) + e
-        if ne:
-            d[v] = ne
-        else:
-            del d[v]
-    return tuple(sorted(d.items()))
-
-
-def monomial_pow(m: Monomial, k: int) -> Monomial:
-    if k == 0:
-        return ()
-    return tuple((v, e * k) for v, e in m)
+    """The product of two tuple monomials.  The ring adds packed keys instead,
+    so this cache's misses (a benchmark metric) stay 0."""
+    ((m, _),) = (LaurentPoly.monomial(a) * LaurentPoly.monomial(b)).items()
+    return m
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -130,33 +154,33 @@ def _norm_coeff(c: Coeff) -> Coeff:
 class LaurentPoly:
     """An immutable Laurent polynomial in canonical sparse form."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_bound")
 
-    def __init__(self, terms: dict[Monomial, Coeff]):
-        # trusted: `terms` must already be canonical (no zero coefficient,
-        # integral Fractions collapsed to int) and is kept, not copied
+    def __init__(self, terms: dict[int, Coeff], bound: int):
+        # trusted: `terms` maps packed keys to coefficients and must already be
+        # canonical (no zero coefficient, integral Fractions collapsed to int);
+        # it is kept, not copied.  `bound` >= every |exponent| of every term.
         self._terms = terms
+        self._bound = bound
 
     @classmethod
     def constant(cls, c: Coeff) -> "LaurentPoly":
-        c = _norm_coeff(c)
-        return cls({(): c} if c else {})
+        return cls.monomial((), c)
 
     @classmethod
     def variable(cls, v: VarName, exponent: int = 1) -> "LaurentPoly":
-        if exponent == 0:
-            return ONE
-        return cls({((v, exponent),): 1})
+        return cls.monomial(((v, exponent),))
 
     @classmethod
     def monomial(cls, m: Monomial, c: Coeff = 1) -> "LaurentPoly":
+        bound = _checked(max((abs(e) for _, e in m), default=0))
         c = _norm_coeff(c)
-        return cls({m: c} if c else {})
+        return cls({sum(e * _var_key(v) for v, e in m): c} if c else {}, bound)
 
     # -- structure ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Coeff]]:
-        return iter(self._terms.items())
+        return ((_decode(k), c) for k, c in self._terms.items())
 
     @property
     def term_count(self) -> int:
@@ -166,20 +190,13 @@ class LaurentPoly:
         return bool(self._terms)
 
     def variables(self) -> set[VarName]:
-        out: set[VarName] = set()
-        for m in self._terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for m, _ in self.items() for v, _ in m}
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            c = _norm_coeff(other)
-            if not c:
-                return not self._terms
-            return self._terms == {(): c}
+            return self == LaurentPoly.constant(other)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]  # mutable-dict core, not hashable
@@ -187,91 +204,98 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # LaurentPoly first: the ABC check behind Fraction is slow
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.constant(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        for m, c in b.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
+        get = out.get
+        for k, c in b.items():
+            # a canonical c is nonzero, so a zero sum means k was in `out`
+            s = get(k, 0) + c
+            if s:
+                out[k] = s if type(s) is int else _norm_coeff(s)
             else:
-                s = s + c
-                if s:
-                    out[m] = _norm_coeff(s)
-                else:
-                    del out[m]
-        return LaurentPoly(out)
+                del out[k]
+        return LaurentPoly(out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self._terms.items()})
+        return LaurentPoly({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _norm_coeff(other)
             if not other:
                 return ZERO
             if other == 1:
                 return self
             return LaurentPoly(
-                {m: _norm_coeff(c * other) for m, c in self._terms.items()}
+                {m: _norm_coeff(c * other) for m, c in self._terms.items()},
+                self._bound,
             )
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
             return ZERO
+        # keys add slot by slot; the bound proves no slot leaves its range
+        bound = _checked(self._bound + other._bound)
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
-        merge = merge_monomials
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = merge(ma, mb)
-                c = out.get(m)
-                if c is None:
-                    out[m] = ca * cb
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                c = get(k, 0) + ca * cb
+                if c:
+                    out[k] = c
                 else:
-                    c = c + ca * cb
-                    if c:
-                        out[m] = c
-                    else:
-                        del out[m]
-        return LaurentPoly({m: _norm_coeff(c) for m, c in out.items()})
+                    del out[k]
+        # products of int coefficients need no normalizing pass
+        if Fraction in map(type, a.values()) or Fraction in map(type, b.values()):
+            out = {k: _norm_coeff(c) for k, c in out.items()}
+        return LaurentPoly(out, bound)
 
     __rmul__ = __mul__
 
     def mul_truncated(self, other: "LaurentPoly", rank: int, cap: int) -> "LaurentPoly":
         """Product with terms of family-`rank` total degree above `cap` dropped."""
+        # adding 2^(B-1) to every slot makes each digit nonnegative, so the
+        # family's exponents read off the biased key with no borrows
+        top = max(max(map(abs, p._terms), default=0) for p in (self, other))
+        slots = top.bit_length() // SLOT_BITS + 1
+        half, mask = 1 << (SLOT_BITS - 1), (1 << SLOT_BITS) - 1
+        bias = half * ((1 << (SLOT_BITS * slots)) - 1) // mask
+        shifts = range(SLOT_BITS * rank, SLOT_BITS * slots, SLOT_BITS * len(FAMILY_NAMES))
+        offset = half * len(shifts)
 
-        def by_degree(p: "LaurentPoly") -> dict[int, dict]:
+        def by_degree(p: "LaurentPoly") -> dict[int, "LaurentPoly"]:
             groups: dict[int, dict] = {}
-            for m, c in p._terms.items():
-                groups.setdefault(sum(e for v, e in m if v.rank == rank), {})[m] = c
-            return groups
+            for k, c in p._terms.items():
+                biased = k + bias
+                d = sum((biased >> s) & mask for s in shifts) - offset
+                groups.setdefault(d, {})[k] = c
+            return {d: LaurentPoly(g, p._bound) for d, g in groups.items()}
 
         a, b = by_degree(self), by_degree(other)
         out = ZERO
         for da, pa in a.items():
             for db, pb in b.items():
                 if da + db <= cap:
-                    out = out + LaurentPoly(pa) * LaurentPoly(pb)
+                    out = out + pa * pb
         return out
 
     # -- specialization ----------------------------------------------------
@@ -279,7 +303,7 @@ class LaurentPoly:
     def evaluate(self, point: Mapping[VarName, Coeff]) -> Fraction:
         """Evaluate at a rational point; every occurring variable needs a value."""
         total = Fraction(0)
-        for m, c in self._terms.items():
+        for m, c in self.items():
             t = Fraction(c)
             for v, e in m:
                 if v not in point:
@@ -302,7 +326,11 @@ class LaurentPoly:
         Each target must be a nonzero monomial times a nonzero rational, so
         arbitrary (including negative) source exponents stay meaningful.
         """
-        targets: dict[VarName, tuple[Monomial, Coeff]] = {}
+        # v^e with v -> tc * (monomial tk) adds e * (tk - key(v)) to the key.
+        # Result slot w gets sum_v e_v * (exponent of w in v's image), plus its
+        # own exponent if w is kept: at most bound * (load[w] + [w kept]).
+        shifts: dict[VarName, tuple[int, Coeff]] = {}
+        load: dict[VarName, int] = {}
         for v, p in mapping.items():
             if isinstance(p, (int, Fraction)):
                 p = LaurentPoly.constant(p)
@@ -310,27 +338,30 @@ class LaurentPoly:
                 raise ValueError(
                     f"substitution target for {v.text()} must be a single term"
                 )
-            ((tm, tc),) = p._terms.items()
-            targets[v] = (tm, tc)
+            ((tk, tc),) = p._terms.items()
+            shifts[v] = (tk - _var_key(v), tc)
+            for w, e in _decode(tk):
+                load[w] = load.get(w, 0) + abs(e)
+        bound = _checked(
+            self._bound
+            * max([1] + [n + (w not in mapping) for w, n in load.items()])
+        )
         out: dict = {}
-        for m, c in self._terms.items():
-            mono: Monomial = ()
-            coeff: Coeff = c
-            for v, e in m:
-                hit = targets.get(v)
-                if hit is None:
-                    mono = merge_monomials(mono, ((v, e),))
-                else:
-                    tm, tc = hit
-                    coeff = coeff * (Fraction(tc) ** e if e < 0 else tc**e)
-                    mono = merge_monomials(mono, monomial_pow(tm, e))
-            s = out.get(mono)
-            s = coeff if s is None else s + coeff
+        for k, c in self._terms.items():
+            key = k
+            for v, e in _decode(k):
+                hit = shifts.get(v)
+                if hit is not None:
+                    shift, tc = hit
+                    key += e * shift
+                    if tc != 1:
+                        c = c * (Fraction(tc) ** e if e < 0 else tc**e)
+            s = out.get(key, 0) + c
             if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return LaurentPoly({m: _norm_coeff(c) for m, c in out.items() if c})
+                out[key] = s
+            else:
+                del out[key]
+        return LaurentPoly({k: _norm_coeff(c) for k, c in out.items()}, bound)
 
     def rename(self, mapping: Mapping[VarName, VarName]) -> "LaurentPoly":
         return self.substitute(
@@ -338,7 +369,7 @@ class LaurentPoly:
         )
 
     def require_integer(self) -> "LaurentPoly":
-        for m, c in self._terms.items():
+        for m, c in self.items():
             if not isinstance(c, int):
                 raise NonIntegerCoefficient(f"coefficient {c} of {_format_term(m, 1)}")
         return self
@@ -347,7 +378,9 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in descending canonical monomial order."""
-        return sorted(self._terms.items(), key=lambda mc: monomial_key(mc[0]), reverse=True)
+        return sorted(
+            self.items(), key=lambda mc: (sum(e for _, e in mc[0]), mc[0]), reverse=True
+        )
 
     def text(self) -> str:
         if not self._terms:
@@ -384,8 +417,8 @@ def _format_term(m: Monomial, c: Coeff) -> str:
     return f"{c}*{body}"
 
 
-ZERO = LaurentPoly({})
-ONE = LaurentPoly({(): 1})
+ZERO = LaurentPoly({}, 0)
+ONE = LaurentPoly({0: 1}, 0)
 
 DET_DIM_CAP = 10  # largest dimension `det_of` expands
 

@@ -117,9 +117,15 @@ class CheckReport:
         }
 
 
-def _short(p: LaurentPoly, limit: int = 160) -> str:
-    s = p.text()
-    return s if len(s) <= limit else s[: limit - 3] + "..."
+def _sides(lhs: LaurentPoly, rhs: LaurentPoly, limit: int = 160) -> tuple[str, str]:
+    """Both sides cut to `limit` characters.  Where different sides cut alike,
+    the rhs also names the term count and leading term of lhs - rhs."""
+    a, b = (s if len(s) <= limit else s[: limit - 3] + "..." for s in (lhs.text(), rhs.text()))
+    if a == b and lhs != rhs:
+        diff = lhs - rhs
+        lead = LaurentPoly.monomial(*diff.sorted_terms()[0]).text()
+        b += f" [lhs - rhs: {diff.term_count} terms, leading {lead}]"
+    return a, b
 
 
 _EVAL_CHOICES = tuple(Fraction(v) for v in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
@@ -149,10 +155,10 @@ class _Session:
                         f"evaluation cross-check disagrees with structural "
                         f"comparison at {desc}"
                     )
-                    self._failures.append((key, desc, _short(lhs), _short(rhs)))
+                    self._failures.append((key, desc, *_sides(lhs, rhs)))
                     return False
         if not structural:
-            self._failures.append((key, desc, _short(lhs), _short(rhs)))
+            self._failures.append((key, desc, *_sides(lhs, rhs)))
         return structural
 
     def fail(self, key, desc: str, lhs: str, rhs: str) -> None:
@@ -444,8 +450,7 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
                 ses.fail(
                     (n + m, n, m),
                     f"o cauchy n={n} m={m} D={cap}: neither variant",
-                    _short(lhs),
-                    _short(rhs_loose),
+                    *_sides(lhs, rhs_loose),
                 )
                 continue
             ses.ok()

@@ -269,6 +269,33 @@ def test_broken_bialternant_exits_1(capsys, broken_universal):
     assert "\n    rhs: \n" not in out
 
 
+@pytest.fixture
+def narrow_monomial_slots(monkeypatch):
+    """Monomial keys packed in 4-bit slots (|exponent| < 8); every cache is
+    emptied around the test so that no key of either width outlives it."""
+    from spochar import clear_caches, ring
+
+    clear_caches()
+    monkeypatch.setattr(ring, "SLOT_BITS", 4)
+    yield
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_exponent_overflow_exits_2(capsys, narrow_monomial_slots):
+    # det [[h3, h4], [h2, h3]] has exponent bound 6 < 8; [[h4, h5], [h3, h4]] has 8
+    code, out = run(capsys, "compute", "--family", "sp", "--n", "1", "--m", "1", "--outer", "3,3")
+    assert code == 0 and out == "x1^3*z1^3 + x1*z1^3 + x1^-1*z1^3 + x1^-3*z1^3\n"
+    for argv in (
+        ["compute", "--family", "sp", "--n", "1", "--m", "1", "--outer", "4,4"],
+        ["verify", "--suite", "newton"],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: exponent bound ") and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["compute", "--family", "bogus", "--n", "1", "--m", "0", "--outer", "1"]) == 2
     capsys.readouterr()

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spochar import clear_caches, ring
 from spochar.ring import (
     DET_DIM_CAP,
     ONE,
@@ -21,6 +22,7 @@ from spochar.ring import (
     MissingAssignment,
     NonIntegerCoefficient,
     NonSquareMatrix,
+    SlotOverflow,
     VarName,
     ZeroAssignedToLaurentVariable,
     det_of,
@@ -275,12 +277,15 @@ def test_mul_truncated_is_the_product_with_high_terms_dropped(a, b, c, d, fam, c
     # degrees, and the shared summands make partial products cancel
     left, right = a * b + c, (b - a) * (d + c) + a
     rank = fam(1).rank
-    kept = {
-        m: coeff
-        for m, coeff in (left * right).items()
-        if sum(e for v, e in m if v.rank == rank) <= cap
-    }
-    assert left.mul_truncated(right, rank, cap) == LaurentPoly(kept)
+    kept = sum(
+        (
+            LaurentPoly.monomial(m, coeff)
+            for m, coeff in (left * right).items()
+            if sum(e for v, e in m if v.rank == rank) <= cap
+        ),
+        ZERO,
+    )
+    assert left.mul_truncated(right, rank, cap) == kept
 
 
 @settings(max_examples=30, deadline=None)
@@ -299,3 +304,189 @@ def test_var_name_ordering_families():
     assert var("z", 2) == zvar(2)
     assert var("y", 1) == yvar(1)
     assert xvar(1) == VarName(0, 1)
+
+
+# --- packed monomial keys against a tuple-keyed reference ---
+#
+# The reference keeps each polynomial as {tuple monomial: coefficient} and
+# merges exponents variable by variable, as the ring did before monomials
+# were packed.
+
+HALF = 1 << (ring.SLOT_BITS - 1)
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_monomial(exps):
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            exps = dict(ma)
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            m = ref_monomial(exps)
+            out[m] = out.get(m, 0) + ca * cb
+    return ref_clean(out)
+
+
+def ref_substitute(p, targets):
+    """targets: {variable: (tuple monomial, coefficient)}"""
+    out = {}
+    for m, c in p.items():
+        exps = {}
+        for v, e in m:
+            tm, tc = targets.get(v, (((v, 1),), 1))
+            c = c * Fraction(tc) ** e
+            for w, f in tm:
+                exps[w] = exps.get(w, 0) + e * f
+        key = ref_monomial(exps)
+        out[key] = out.get(key, 0) + c
+    return ref_clean(out)
+
+
+def ref_degree(m, rank):
+    return sum(e for v, e in m if v.rank == rank)
+
+
+def largest_exponent(p):
+    return max((abs(e) for m in p for _, e in m), default=0)
+
+
+def packed(p):
+    return sum((LaurentPoly.monomial(m, c) for m, c in p.items()), ZERO)
+
+
+def unpacked(poly):
+    return dict(poly.items())
+
+
+variables = st.builds(VarName, st.integers(0, 3), st.integers(1, 12))
+small_exponents = st.integers(-3, 3).filter(bool)
+# exponents whose pairwise sums straddle the slot limit, and the largest ones
+edge_exponents = st.one_of(
+    st.integers(HALF // 2 - 2, HALF // 2 + 1), st.integers(HALF - 3, HALF - 1)
+).flatmap(lambda e: st.sampled_from([e, -e]))
+nonzero_coeffs = st.one_of(
+    st.integers(-5, 5), st.fractions(Fraction(-3), Fraction(3), max_denominator=4)
+).filter(bool)
+
+
+def tuple_monomials(exponents):
+    return st.dictionaries(variables, exponents, max_size=3).map(ref_monomial)
+
+
+def ref_polys(exponents, max_terms=4):
+    return st.dictionaries(tuple_monomials(exponents), nonzero_coeffs, max_size=max_terms)
+
+
+any_ref_polys = st.one_of(ref_polys(small_exponents), ref_polys(edge_exponents))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_ref_polys, any_ref_polys)
+@example({((xvar(1), HALF - 1),): 1}, {((xvar(1), 1),): 1})
+@example({((xvar(1), HALF - 1),): 1}, {((xvar(1), -1),): 1})
+@example({((VarName(3, 12), 1 - HALF),): 2}, {((VarName(3, 12), -1),): Fraction(1, 2)})
+def test_packed_ring_matches_tuple_reference(p, q):
+    a, b = packed(p), packed(q)
+    assert unpacked(a) == p
+    assert unpacked(a + b) == ref_add(p, q)
+    assert unpacked(a - b) == ref_add(p, {m: -c for m, c in q.items()})
+    # a sum of distinct monomials carries their largest |exponent| as its bound
+    if p and q and largest_exponent(p) + largest_exponent(q) >= HALF:
+        with pytest.raises(SlotOverflow):
+            a * b
+    else:
+        assert unpacked(a * b) == ref_mul(p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ref_polys(small_exponents),
+    ref_polys(small_exponents),
+    st.integers(0, 3),
+    st.integers(-4, 4),
+)
+def test_mul_truncated_matches_tuple_reference(p, q, rank, cap):
+    want = {m: c for m, c in ref_mul(p, q).items() if ref_degree(m, rank) <= cap}
+    assert unpacked(packed(p).mul_truncated(packed(q), rank, cap)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    any_ref_polys,
+    st.dictionaries(
+        variables,
+        st.tuples(st.one_of(tuple_monomials(small_exponents), tuple_monomials(edge_exponents)), nonzero_coeffs),
+        max_size=4,
+    ),
+)
+@example({((xvar(1), 3), (zvar(1), HALF // 2)): 1}, {xvar(1): (((zvar(1), HALF // 8),), 2)})
+def test_substitute_matches_tuple_reference(p, targets):
+    want = ref_substitute(p, targets)
+    mapping = {v: LaurentPoly.monomial(m, c) for v, (m, c) in targets.items()}
+    try:
+        got = packed(p).substitute(mapping)
+    except SlotOverflow:
+        # the guard may refuse a safe result, but only when exponents are large
+        assert largest_exponent(p) * max(
+            [1] + [largest_exponent({m: 1}) for m, _ in targets.values()]
+        ) * (len(targets) + 1) >= HALF
+    else:
+        assert largest_exponent(want) < HALF
+        assert unpacked(got) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_ref_polys, st.dictionaries(variables, variables, max_size=4))
+# x2 keeps its own exponent and collects x1's
+@example({((xvar(1), HALF - 1), (xvar(2), HALF - 1)): 1}, {xvar(1): xvar(2)})
+@example({((xvar(1), HALF // 2), (xvar(2), HALF // 2 - 1)): 1}, {xvar(1): xvar(2)})
+def test_rename_matches_tuple_reference(p, mapping):
+    want = ref_substitute(p, {a: (((b, 1),), 1) for a, b in mapping.items()})
+    try:
+        got = packed(p).rename(mapping)
+    except SlotOverflow:
+        # a rename at most doubles a slot's bound per image it collects
+        assert largest_exponent(p) * (len(mapping) + 1) >= HALF
+    else:
+        assert unpacked(got) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_ref_polys)
+def test_clear_caches_does_not_change_rendering(p):
+    poly, twin = packed(p), packed(p)
+    before = twin.text()
+    clear_caches()
+    assert poly.text() == before
+    assert unpacked(poly) == p
+
+
+def test_product_at_the_slot_limit_raises():
+    edge = LaurentPoly.variable(xvar(1), HALF - 1)  # the largest slot exponent
+    assert edge * ONE == edge
+    assert unpacked(edge * LaurentPoly.constant(3)) == {((xvar(1), HALF - 1),): 3}
+    with pytest.raises(SlotOverflow):
+        edge * X1
+    # the bound is conservative: x1^(HALF-1) * x1^-1 would fit, but is refused
+    with pytest.raises(SlotOverflow):
+        edge * X1I
+    with pytest.raises(SlotOverflow):
+        LaurentPoly.variable(xvar(1), HALF)
+    assert X1.substitute({xvar(1): edge}) == edge
+    with pytest.raises(SlotOverflow):
+        (X1 * X1).substitute({xvar(1): edge})

@@ -155,9 +155,15 @@ def test_broken_bialternant_reports_both_sides(broken_universal):
         "sp_odd lam=(2, 1) n=1",
         "sp_odd lam=(2, 1) n=2",
     ]
-    # both sides rendered (each cut to 160 characters, so they may print alike)
+    # both sides rendered, and never alike: where the 160-character cuts agree
+    # (sp n=3 and sp_odd n=2), the rhs also names the difference
     for _, lhs, rhs in rep.failures:
-        assert lhs and rhs
+        assert lhs and rhs and lhs != rhs
+    cut_alike = [(d, r[len(l) :]) for d, l, r in rep.failures if r.startswith(l)]
+    assert cut_alike == [
+        ("sp lam=(2, 1) n=3", " [lhs - rhs: 48 terms, leading -x1^3*x2^2*x3]"),
+        ("sp_odd lam=(2, 1) n=2", " [lhs - rhs: 48 terms, leading -x1^3*x2^2*z1]"),
+    ]
 
 
 def test_cauchy_o_records_variant_note():
