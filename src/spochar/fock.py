@@ -12,7 +12,9 @@ X_k is the w^{target}-coefficient of
     X(w) = pre(w) * exp(sc * sum_n a_{-n}/n * w^n)
                   * exp(sa * sum_n a_n/n * (w^n + w^{-n}))
 
-where pre(w) is 1 or (1 - w^2) and target is +-k, per the table below.  The
+where pre(w) is 1 or (1 - w^2) and target is +-k, per the table below.  As
+W = (1 - w^2) Y and Y* = (1 - w^2) W*, a W_k or Y*_k row is the packed sum
+Y_k - Y_{k+2} or W*_k - W*_{k-2} of plain rows, bounded as in Packed rows.  The
 half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z)) is the only
 place the character variables enter: it maps a rational ket to
 Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
@@ -255,11 +257,9 @@ def _splits(rho: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _annihilation_wpoly(kind: str, kappa: tuple[int, ...]):
-    """pre(w) * prod_{r in kappa} sa * (w^r + w^-r), as ((power, int), ...)."""
-    shape = MODE_SHAPES[kind]
-    sa = shape.annihilation_sign
-    wp: WPoly = {0: 1, 2: -1} if shape.prefactor else {0: 1}
+def _annihilation_wpoly(sa: int, kappa: tuple[int, ...]):
+    """prod_{r in kappa} sa * (w^r + w^-r), as ((power, int), ...)."""
+    wp: WPoly = {0: 1}
     for r in kappa:
         wp = _conv(wp, {r: sa, -r: sa})
     return tuple(sorted(wp.items()))
@@ -304,12 +304,17 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, 
     bound (see the module docstring).
     """
     shape = MODE_SHAPES[kind]
+    if shape.prefactor:  # X_k = P_k - P_{k - 2 * target_sign} for P(w) = X(w) / (1 - w^2)
+        plain = next(p for p, s in MODE_SHAPES.items() if s == shape._replace(prefactor=False))
+        rows = [_mode_row_scaled(plain, j, mu) for j in (k, k - 2 * shape.target_sign)]
+        den = lcm(*(d for *_, d in rows))
+        return (*combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
     target = shape.target_sign * k
     # (rest, coefficient, w-degree left for the creation exponential)
     terms = [
         (rest, c * q, target - p)
         for kappa, rest, c in _splits(mu)
-        for p, q in _annihilation_wpoly(kind, kappa)
+        for p, q in _annihilation_wpoly(shape.annihilation_sign, kappa)
         if p <= target
     ]
     zl = lcm(*(_zlcm(deg) for _, _, deg in terms))
@@ -330,10 +335,14 @@ def _row_entries(kind: str, k: int, mu: tuple[int, ...]):
     return tuple((PARTS[i], v) for i, v in unpack(value)), den
 
 
+def _check_kinds(*kinds: str) -> None:
+    if unknown := [kind for kind in kinds if kind not in MODE_SHAPES]:
+        raise ValueError(f"unknown mode kind {unknown[0]!r}")
+
+
 def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
     """Apply the mode X_k of the given kind to a vector, exactly."""
-    if kind not in MODE_SHAPES:
-        raise ValueError(f"unknown mode kind {kind!r}")
+    _check_kinds(kind)
 
     def row(mu):
         entries, den = _row_entries(kind, k, mu)
@@ -345,6 +354,7 @@ def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
 def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
     """X_out X_in p_mu as a packed row (value, bound, denominator): the inner
     row is unpacked, and the outer rows are summed as packed ints."""
+    _check_kinds(kind_out, kind_in)  # first: an empty inner row reads no outer row
     inner, d_in = _row_entries(kind_in, k_in, mu)
     pieces = [(qi, _mode_row_scaled(kind_out, k_out, nu)) for nu, qi in inner]
     den = lcm(*(row[2] for _, row in pieces))

@@ -299,6 +299,87 @@ def test_mode_words_reduce_to_signed_kets():
         assert vec == want, (word, fam)
 
 
+# --- an independent oracle for the mode rows ---
+
+# (prefactor, creation sign, annihilation sign, target sign) of each kind's
+# series in the fock module docstring, written out here so that the oracle
+# reads no table of the module under test
+SERIES = {
+    "Y": (False, 1, -1, -1),
+    "Ystar": (True, -1, 1, 1),
+    "W": (True, 1, -1, -1),
+    "Wstar": (False, -1, 1, 1),
+}
+
+
+def _exp(vec, generators, top=None):
+    """sum_j D^j vec / j! with D = sum over (n, {power: c}) of c(w) * a_n, on
+    vectors {(nu, power of w): coefficient}; terms above w^top are dropped,
+    which is exact when D only raises the power."""
+    out, term, j = dict(vec), vec, 0
+    while term:
+        j += 1
+        nxt = {}
+        for (nu, p), f in term.items():
+            for n, wpoly in generators:
+                for rho, g in heisenberg({nu: f}, n).items():
+                    for q, c in wpoly.items():
+                        if top is None or p + q <= top:
+                            nxt[rho, p + q] = nxt.get((rho, p + q), 0) + g * c / j
+        term = {key: f for key, f in nxt.items() if f}
+        for key, f in term.items():
+            out[key] = out.get(key, 0) + f
+    return out
+
+
+def _series_rows(kind, mu, top):
+    """{t: [w^t] X(w) p_mu} for t <= top, X(w) the kind's series expanded
+    term by term with `heisenberg` as the only operator."""
+    pre, sc, sa, _ = SERIES[kind]
+    weight = sum(mu)
+    vec = _exp(
+        {(mu, 0): Fraction(1)},
+        [(n, {n: Fraction(sa, n), -n: Fraction(sa, n)}) for n in range(1, weight + 1)],
+    )
+    if pre:  # times (1 - w^2)
+        shifted = {}
+        for (nu, p), f in vec.items():
+            for q, c in ((0, 1), (2, -1)):
+                shifted[nu, p + q] = shifted.get((nu, p + q), 0) + c * f
+        vec = shifted
+    low = min((p for _, p in vec), default=top)
+    vec = _exp(vec, [(-n, {n: Fraction(sc, n)}) for n in range(1, top - low + 1)], top)
+    rows: dict = {}
+    for (nu, p), f in vec.items():
+        if f and p <= top:
+            rows.setdefault(p, {})[nu] = f
+    return rows
+
+
+def test_mode_rows_match_the_series():
+    # wider than the pinned k range, so W_k reads Y_{k+2} and Y*_k reads
+    # W*_{k-2} past its edge
+    top = 7
+    for kind, (pre, _, _, sign) in SERIES.items():
+        for w in range(5):
+            for mu in partitions_of(w):
+                rows = _series_rows(kind, mu, top)
+                for k in range(-top, top + 1):
+                    got = apply_mode(kind, k, {mu: 1})
+                    assert got == rows.get(sign * k, {}), (kind, k, mu)
+                    if pre:  # a folded row: its certified bound covers every slot
+                        value, bound, _ = fock._mode_row_scaled(kind, k, mu)
+                        slots = [abs(c) for _, c in fock.unpack(value)]
+                        assert bound >= max(slots, default=0), (kind, k, mu)
+
+
+@pytest.mark.parametrize("kind_out,kind_in", [("X", "Y"), ("Y", "X")])
+def test_compose_rejects_an_unknown_kind(kind_out, kind_in):
+    # Y_1 kills the vacuum, so with an unknown outer kind no outer row is read
+    with pytest.raises(ValueError, match="unknown mode kind 'X'"):
+        fock.compose(kind_out, 1, kind_in, 1, ())
+
+
 # --- the integer composition path behind the commutation suite ---
 
 
