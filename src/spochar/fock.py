@@ -6,16 +6,22 @@ Heisenberg generators act by
 
     a_{-n} p_mu = p_{mu + part n},      a_n p_mu = n * m_n(mu) p_{mu - part n},
 
-and four families of half vertex-operator modes are built from them.  A mode
-X_k is the w^{target}-coefficient of
+and four families of half vertex-operator modes are built from them.  The
+symplectic mode Y_k is the w^{-k}-coefficient of
 
-    X(w) = pre(w) * exp(sc * sum_n a_{-n}/n * w^n)
-                  * exp(sa * sum_n a_n/n * (w^n + w^{-n}))
+    Y(w) = exp(sum_n a_{-n}/n * w^n) * exp(-sum_n a_n/n * (w^n + w^{-n})),
 
-where pre(w) is 1 or (1 - w^2) and target is +-k, per the table below.  As
-W = (1 - w^2) Y and Y* = (1 - w^2) W*, a W_k or Y*_k row is the packed sum
-Y_k - Y_{k+2} or W*_k - W*_{k-2} of plain rows, bounded as in Packed rows.  The
-half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z)) is the only
+and the other three kinds follow from it.  The involution omega: a_n -> -a_n
+(so omega p_mu = (-1)^len(mu) p_mu) maps Y(w) onto the dual W*(w), whose mode
+W*_k is its w^k-coefficient, so W*_k = omega Y_{-k} omega.  W = (1 - w^2) Y
+and Y* = (1 - w^2) W* keep the targets of Y and W*, so W_k = Y_k - Y_{k+2}
+and Y*_k = W*_k - W*_{k-2}.  Only Y rows are built from the series
+(`MODE_SHAPES` says how each other row derives).  The W*_k row of p_mu is
+the Y_{-k} row with slot nu multiplied by (-1)^(len(mu) + len(nu)) (`twist`):
+every |coefficient| is unchanged, so the Y row's bound still holds, and the
+terms are the same, so the denominator is too.  A W or Y* row is a
+combination of two rows, bounded as in Packed rows.  The half-current
+Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z)) is the only
 place the character variables enter: it maps a rational ket to
 Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
 contracts those against rational bra coefficients.
@@ -75,17 +81,20 @@ class ZeroModeRequested(ValueError):
 
 
 class ModeShape(NamedTuple):
-    prefactor: bool  # multiply the series by (1 - w^2)
-    creation_sign: int
-    annihilation_sign: int
-    target_sign: int  # mode k extracts the w^{target_sign * k} coefficient
+    """How X_k p_mu derives from the rows of the kind `source` (S), as in the
+    module docstring: "series" builds it from Y(w), "fold" is
+    S_k - S_{k + step}, and "twist" is omega S_{-k} omega."""
+
+    derive: str
+    source: str
+    step: int
 
 
 MODE_SHAPES: dict[str, ModeShape] = {
-    "Y": ModeShape(False, +1, -1, -1),
-    "Ystar": ModeShape(True, -1, +1, +1),
-    "W": ModeShape(True, +1, -1, -1),
-    "Wstar": ModeShape(False, -1, +1, +1),
+    "Y": ModeShape("series", "Y", 0),
+    "Ystar": ModeShape("fold", "Wstar", -2),
+    "W": ModeShape("fold", "Y", 2),
+    "Wstar": ModeShape("twist", "Y", 0),
 }
 
 _STAR_OF = {"sp": "Ystar", "o": "Wstar"}
@@ -168,6 +177,32 @@ def unpack(value: int) -> list[tuple[int, int]]:
         if digit != zero:
             out.append((i, int.from_bytes(digit, "little") - half))
     return out
+
+
+@lru_cache(maxsize=None)
+def _odd_mask(bits: int, weight: int) -> tuple[int, int, int]:
+    """(bias, mask, odd bias) over the ids of weight <= `weight` in `bits`-bit
+    slots: 2^(bits-1) in every slot, all ones in each slot whose partition has
+    odd length, and 2^(bits-1) in those.  The width is part of the key, so a
+    mask built at one SLOT_BITS is never read at another."""
+    width = bits // 8
+    half = (1 << (bits - 1)).to_bytes(width, "little")
+    ones, empty = b"\xff" * width, bytes(width)
+    odd = [len(p) % 2 for p in PARTS[: pid((weight + 1,))]]
+    read = lambda digits: int.from_bytes(b"".join(digits), "little")
+    bias, mask = read(half for _ in odd), read(ones if o else empty for o in odd)
+    return bias, mask, bias & mask
+
+
+def twist(value: int) -> int:
+    """omega on a packed value over ids in PARTS whose bound is certified: the
+    slot of id i times (-1)^len(PARTS[i]).  Biasing makes every digit
+    c_i + 2^(B-1), so the odd-length slots are cut out whole by one mask."""
+    if not value:
+        return 0
+    top = PARTS[abs(value).bit_length() // SLOT_BITS]  # in the highest nonzero slot
+    bias, mask, odd_bias = _odd_mask(SLOT_BITS, sum(top))
+    return value - 2 * (((value + bias) & mask) - odd_bias)
 
 
 def _insert_part(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -257,11 +292,11 @@ def _splits(rho: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _annihilation_wpoly(sa: int, kappa: tuple[int, ...]):
-    """prod_{r in kappa} sa * (w^r + w^-r), as ((power, int), ...)."""
+def _annihilation_wpoly(kappa: tuple[int, ...]):
+    """prod_{r in kappa} -(w^r + w^-r), Y(w)'s c_kappa, as ((power, int), ...)."""
     wp: WPoly = {0: 1}
     for r in kappa:
-        wp = _conv(wp, {r: sa, -r: sa})
+        wp = _conv(wp, {r: -1, -r: -1})
     return tuple(sorted(wp.items()))
 
 
@@ -272,8 +307,8 @@ def _zlcm(c: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _creation_block(rest: tuple[int, ...], c: int, sign: int) -> tuple[int, int, int]:
-    """sum over parts |- c of sign^len(parts) (zlcm(c)/z_parts) p_{rest + parts},
+def _creation_block(rest: tuple[int, ...], c: int) -> tuple[int, int, int]:
+    """sum over parts |- c of (zlcm(c)/z_parts) p_{rest + parts},
     packed from the first id of its weight: (value, bound, that id).
 
     Distinct parts give distinct rest + parts, so no two terms share a slot
@@ -284,8 +319,6 @@ def _creation_block(rest: tuple[int, ...], c: int, sign: int) -> tuple[int, int,
     entries = []
     for parts in partitions_of(c):
         coeff = zc // _zfactor(parts)
-        if sign < 0 and len(parts) % 2:
-            coeff = -coeff
         entries.append((pid(tuple(sorted(rest + parts, reverse=True))) - base, coeff))
     bound = certify(max(abs(v) for _, v in entries))
     return pack(entries), bound, base
@@ -295,32 +328,35 @@ def _creation_block(rest: tuple[int, ...], c: int, sign: int) -> tuple[int, int,
 def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, int]:
     """X_k p_mu as a packed row (value, bound, denominator).
 
-    The annihilation stage is integral (see `_splits`), so the one shared
-    denominator zl comes from the creation exponential alone: each split
-    (rest, q) that leaves w-degree c for the creation exponential adds
-    q * (zl / zlcm(c)) times the cached creation block of (rest, c).  Blocks
-    are summed per weight as short ints and shifted into place once, and since
-    weights occupy disjoint slots the row's bound is the largest per-weight
-    bound (see the module docstring).
+    A W, W* or Y* row derives from cached rows as `MODE_SHAPES` says.  A Y
+    row is built from the series.  Its annihilation stage is integral (see
+    `_splits`), so the one shared denominator zl comes from the creation
+    exponential alone: each split (rest, q) that leaves w-degree c for the
+    creation exponential adds q * (zl / zlcm(c)) times the cached creation
+    block of (rest, c).  Blocks are summed per weight as short ints and
+    shifted into place once, and since weights occupy disjoint slots the row's
+    bound is the largest per-weight bound (see the module docstring).
     """
-    shape = MODE_SHAPES[kind]
-    if shape.prefactor:  # X_k = P_k - P_{k - 2 * target_sign} for P(w) = X(w) / (1 - w^2)
-        plain = next(p for p, s in MODE_SHAPES.items() if s == shape._replace(prefactor=False))
-        rows = [_mode_row_scaled(plain, j, mu) for j in (k, k - 2 * shape.target_sign)]
+    derive, source, step = MODE_SHAPES[kind]
+    if derive == "twist":  # W*_k = omega Y_{-k} omega, and omega p_mu = (-1)^len(mu) p_mu
+        value, bound, den = _mode_row_scaled(source, -k, mu)
+        return (-twist(value) if len(mu) % 2 else twist(value)), bound, den
+    if derive == "fold":  # W_k = Y_k - Y_{k+2}, Y*_k = W*_k - W*_{k-2}
+        rows = [_mode_row_scaled(source, j, mu) for j in (k, k + step)]
         den = lcm(*(d for *_, d in rows))
         return (*combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
-    target = shape.target_sign * k
+    target = -k  # Y_k is the w^{-k} coefficient of Y(w)
     # (rest, coefficient, w-degree left for the creation exponential)
     terms = [
         (rest, c * q, target - p)
         for kappa, rest, c in _splits(mu)
-        for p, q in _annihilation_wpoly(shape.annihilation_sign, kappa)
+        for p, q in _annihilation_wpoly(kappa)
         if p <= target
     ]
     zl = lcm(*(_zlcm(deg) for _, _, deg in terms))
     graded: dict[int, list] = {}
     for rest, q, deg in terms:
-        value, bound, base = _creation_block(rest, deg, shape.creation_sign)
+        value, bound, base = _creation_block(rest, deg)
         graded.setdefault(base, []).append((q * (zl // _zlcm(deg)), value, bound))
     sums = [(base, *combine(ts)) for base, ts in graded.items()]
     value = sum(v << (SLOT_BITS * base) for base, v, _ in sums)
@@ -356,9 +392,9 @@ def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, .
     row is unpacked, and the outer rows are summed as packed ints."""
     _check_kinds(kind_out, kind_in)  # first: an empty inner row reads no outer row
     inner, d_in = _row_entries(kind_in, k_in, mu)
-    pieces = [(qi, _mode_row_scaled(kind_out, k_out, nu)) for nu, qi in inner]
-    den = lcm(*(row[2] for _, row in pieces))
-    value, bound = combine((qi * (den // s), v, b) for qi, (v, b, s) in pieces)
+    outer = [_mode_row_scaled(kind_out, k_out, nu) for nu, _ in inner]
+    den = lcm(*[s for _, _, s in outer])
+    value, bound = combine((qi * (den // s), v, b) for (_, qi), (v, b, s) in zip(inner, outer))
     return value, bound, d_in * den
 
 

@@ -8,7 +8,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spochar import clear_caches, cli, fock
@@ -360,17 +360,17 @@ def test_mode_rows_match_the_series():
     # wider than the pinned k range, so W_k reads Y_{k+2} and Y*_k reads
     # W*_{k-2} past its edge
     top = 7
-    for kind, (pre, _, _, sign) in SERIES.items():
+    for kind, (_, _, _, sign) in SERIES.items():
         for w in range(5):
             for mu in partitions_of(w):
                 rows = _series_rows(kind, mu, top)
                 for k in range(-top, top + 1):
                     got = apply_mode(kind, k, {mu: 1})
                     assert got == rows.get(sign * k, {}), (kind, k, mu)
-                    if pre:  # a folded row: its certified bound covers every slot
-                        value, bound, _ = fock._mode_row_scaled(kind, k, mu)
-                        slots = [abs(c) for _, c in fock.unpack(value)]
-                        assert bound >= max(slots, default=0), (kind, k, mu)
+                    # built, folded or twisted: the certified bound covers every slot
+                    value, bound, _ = fock._mode_row_scaled(kind, k, mu)
+                    slots = [abs(c) for _, c in fock.unpack(value)]
+                    assert bound >= max(slots, default=0), (kind, k, mu)
 
 
 @pytest.mark.parametrize("kind_out,kind_in", [("X", "Y"), ("Y", "X")])
@@ -437,3 +437,46 @@ def test_narrow_slots_raise_instead_of_a_verdict(narrow_slots, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert "PASS" not in out and "slot" in err
+
+
+# --- the omega twist of packed values ---
+
+
+def _assert_twist_flips_odd_lengths(vec):
+    fock.pid((8,))  # ids 0..66 name partitions, so every strategy id has a length
+    entries = sorted(vec.items())
+    flipped = [(i, -c if len(fock.PARTS[i]) % 2 else c) for i, c in entries]
+    assert fock.twist(fock.pack(entries)) == fock.pack(flipped)
+
+
+@given(slot_vectors)
+@example({})
+@example({0: 5})
+@example({60: 1 - _HALF})
+@example({1: _HALF - 1, 2: 1 - _HALF, 3: _HALF - 1, 4: 1 - _HALF})
+def test_twist_flips_the_odd_length_slots(vec):
+    _assert_twist_flips_odd_lengths(vec)
+
+
+_HALF16 = 1 << 15
+narrow_slot_vectors = st.dictionaries(
+    st.integers(0, 60), st.integers(1 - _HALF16, _HALF16 - 1).filter(bool), max_size=12
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vec=narrow_slot_vectors)
+@example(vec={})
+@example(vec={0: 5})
+@example(vec={60: 1 - _HALF16})
+@example(vec={1: _HALF16 - 1, 2: 1 - _HALF16, 3: _HALF16 - 1, 4: 1 - _HALF16})
+def test_twist_flips_the_odd_length_slots_in_narrow_slots(narrow_slots, vec):
+    _assert_twist_flips_odd_lengths(vec)
+
+
+def test_twist_masks_are_keyed_by_slot_width(monkeypatch):
+    # no cache is emptied between the widths: a mask built for 128-bit slots
+    # must not be read for 16-bit ones
+    _assert_twist_flips_odd_lengths({1: 7, 5: -3, 40: 2})
+    monkeypatch.setattr(fock, "SLOT_BITS", 16)
+    _assert_twist_flips_odd_lengths({1: 7, 5: -3, 40: 1 - _HALF16})
