@@ -51,6 +51,7 @@ def _require(args, names) -> None:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        payload = {"schema": SCHEMA, "command": args.verb, **payload}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
@@ -65,8 +66,6 @@ def _cmd_compute(args) -> int:
     else:
         result = universal(args.family, outer, args.n, args.m)
     payload = {
-        "schema": SCHEMA,
-        "command": "compute",
         "family": args.family,
         "n": args.n,
         "m": args.m,
@@ -93,8 +92,6 @@ def _cmd_verify(args) -> int:
             )
     reports = [run_suite(name, grid) for name in names]
     payload = {
-        "schema": SCHEMA,
-        "command": "verify",
         "grid": grid.to_json(),
         "reports": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),
@@ -124,8 +121,6 @@ def _cmd_gt(args) -> int:
     chains = list(gt_chains(lam, args.n))
     entries = [(chain, chain.weight_exponents(), gt_weight(chain)) for chain in chains]
     payload = {
-        "schema": SCHEMA,
-        "command": "gt",
         "lambda": lam.to_json(),
         "n": args.n,
         "count": len(chains),
@@ -173,8 +168,6 @@ def _cmd_fock(args) -> int:
             "m": args.m,
         }
     payload = {
-        "schema": SCHEMA,
-        "command": "fock",
         "family": args.family,
         "result": result.to_json(),
         "text": result.text(),
@@ -188,8 +181,6 @@ def _cmd_newton(args) -> int:
     _require(args, ["n", "m", "N"])
     ok = check_newton(HSpec(args.n, args.m, "plain"), args.N)
     payload = {
-        "schema": SCHEMA,
-        "command": "newton",
         "n": args.n,
         "m": args.m,
         "N": args.N,

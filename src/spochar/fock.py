@@ -13,16 +13,18 @@ symplectic mode Y_k is the w^{-k}-coefficient of
 
 and the other three kinds follow from it.  The involution omega: a_n -> -a_n
 (so omega p_mu = (-1)^len(mu) p_mu) maps Y(w) onto the dual W*(w), whose mode
-W*_k is its w^k-coefficient, so W*_k = omega Y_{-k} omega.  W = (1 - w^2) Y
-and Y* = (1 - w^2) W* keep the targets of Y and W*, so W_k = Y_k - Y_{k+2}
-and Y*_k = W*_k - W*_{k-2}.  Only Y rows are built from the series
-(`MODE_SHAPES` says how each other row derives).  The W*_k row of p_mu is
-the Y_{-k} row with slot nu multiplied by (-1)^(len(mu) + len(nu)) (`twist`):
-every |coefficient| is unchanged, so the Y row's bound still holds, and the
-terms are the same, so the denominator is too.  A W or Y* row is a
-combination of two rows, bounded as in Packed rows.  The half-current
-Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z)) is the only
-place the character variables enter: it maps a rational ket to
+W*_k is its w^k-coefficient.  W = (1 - w^2) Y and Y* = (1 - w^2) W* keep the
+targets of Y and W*.  So only Y rows are built from the series, and the
+other three kinds follow by three rules:
+
+    W*_k = omega Y_{-k} omega,   W_k = Y_k - Y_{k+2},   Y*_k = W*_k - W*_{k-2}.
+
+The W*_k row of p_mu is the Y_{-k} row with slot nu multiplied by
+(-1)^(len(mu) + len(nu)) (`twist`): every |coefficient| is unchanged, so the
+Y row's bound still holds, and the terms are the same, so the denominator is
+too.  A W or Y* row is a combination of two rows, bounded as in Packed
+rows.  The half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z))
+is the only place the character variables enter: it maps a rational ket to
 Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
 contracts those against rational bra coefficients.
 
@@ -64,7 +66,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
-from typing import NamedTuple
 
 from .partitions import Partition, PartitionTooLong, partitions_of
 from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, zvar
@@ -80,23 +81,7 @@ class ZeroModeRequested(ValueError):
     """The Heisenberg index 0 is central and has no action here."""
 
 
-class ModeShape(NamedTuple):
-    """How X_k p_mu derives from the rows of the kind `source` (S), as in the
-    module docstring: "series" builds it from Y(w), "fold" is
-    S_k - S_{k + step}, and "twist" is omega S_{-k} omega."""
-
-    derive: str
-    source: str
-    step: int
-
-
-MODE_SHAPES: dict[str, ModeShape] = {
-    "Y": ModeShape("series", "Y", 0),
-    "Ystar": ModeShape("fold", "Wstar", -2),
-    "W": ModeShape("fold", "Y", 2),
-    "Wstar": ModeShape("twist", "Y", 0),
-}
-
+MODE_KINDS = ("Y", "Ystar", "W", "Wstar")
 _STAR_OF = {"sp": "Ystar", "o": "Wstar"}
 _PLAIN_OF = {"sp": "Y", "o": "W"}
 
@@ -136,21 +121,10 @@ def certify(bound: int) -> int:
     return bound
 
 
-def _zero_digit() -> bytes:
-    # the base-2^B digit of a 0 slot once 2^(B-1) is added to every slot
-    return (1 << (SLOT_BITS - 1)).to_bytes(SLOT_BITS // 8, "little")
-
-
 def pack(entries) -> int:
     """The packed int of ((id, coefficient), ...), distinct ids, each
-    |coefficient| < 2^(SLOT_BITS-1); written as digits, then unbiased."""
-    zero = _zero_digit()
-    width, half = len(zero), 1 << (SLOT_BITS - 1)
-    slots = max((i for i, _ in entries), default=-1) + 1
-    data = bytearray(zero * slots)
-    for i, c in entries:
-        data[i * width : (i + 1) * width] = (c + half).to_bytes(width, "little")
-    return int.from_bytes(data, "little") - int.from_bytes(zero * slots, "little")
+    |coefficient| < 2^(SLOT_BITS-1)."""
+    return sum(c << (SLOT_BITS * i) for i, c in entries)
 
 
 def combine(terms) -> tuple[int, int]:
@@ -167,8 +141,8 @@ def unpack(value: int) -> list[tuple[int, int]]:
     [(id, coefficient), ...] by ascending id; see the module docstring."""
     if not value:
         return []
-    zero = _zero_digit()
-    width, half = len(zero), 1 << (SLOT_BITS - 1)
+    width, half = SLOT_BITS // 8, 1 << (SLOT_BITS - 1)
+    zero = half.to_bytes(width, "little")  # the digit of a 0 slot once biased
     slots = abs(value).bit_length() // SLOT_BITS + 1
     data = (value + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
     out = []
@@ -185,12 +159,9 @@ def _odd_mask(bits: int, weight: int) -> tuple[int, int, int]:
     slots: 2^(bits-1) in every slot, all ones in each slot whose partition has
     odd length, and 2^(bits-1) in those.  The width is part of the key, so a
     mask built at one SLOT_BITS is never read at another."""
-    width = bits // 8
-    half = (1 << (bits - 1)).to_bytes(width, "little")
-    ones, empty = b"\xff" * width, bytes(width)
-    odd = [len(p) % 2 for p in PARTS[: pid((weight + 1,))]]
-    read = lambda digits: int.from_bytes(b"".join(digits), "little")
-    bias, mask = read(half for _ in odd), read(ones if o else empty for o in odd)
+    ids = range(pid((weight + 1,)))
+    bias = sum(1 << (bits * i + bits - 1) for i in ids)
+    mask = sum(((1 << bits) - 1) << (bits * i) for i in ids if len(PARTS[i]) % 2)
     return bias, mask, bias & mask
 
 
@@ -328,20 +299,21 @@ def _creation_block(rest: tuple[int, ...], c: int) -> tuple[int, int, int]:
 def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, int]:
     """X_k p_mu as a packed row (value, bound, denominator).
 
-    A W, W* or Y* row derives from cached rows as `MODE_SHAPES` says.  A Y
-    row is built from the series.  Its annihilation stage is integral (see
-    `_splits`), so the one shared denominator zl comes from the creation
-    exponential alone: each split (rest, q) that leaves w-degree c for the
-    creation exponential adds q * (zl / zlcm(c)) times the cached creation
-    block of (rest, c).  Blocks are summed per weight as short ints and
-    shifted into place once, and since weights occupy disjoint slots the row's
-    bound is the largest per-weight bound (see the module docstring).
+    A W*, W or Y* row derives from cached rows by the module docstring's
+    three rules.  A Y row is built from the series.  Its annihilation stage
+    is integral (see `_splits`), so the one shared denominator zl comes from
+    the creation exponential alone: each split (rest, q) that leaves
+    w-degree c for the creation exponential adds q * (zl / zlcm(c)) times the
+    cached creation block of (rest, c).  Blocks are summed per weight as
+    short ints and shifted into place once, and since weights occupy disjoint
+    slots the row's bound is the largest per-weight bound (see the module
+    docstring).
     """
-    derive, source, step = MODE_SHAPES[kind]
-    if derive == "twist":  # W*_k = omega Y_{-k} omega, and omega p_mu = (-1)^len(mu) p_mu
-        value, bound, den = _mode_row_scaled(source, -k, mu)
+    if kind == "Wstar":  # W*_k = omega Y_{-k} omega, and omega p_mu = (-1)^len(mu) p_mu
+        value, bound, den = _mode_row_scaled("Y", -k, mu)
         return (-twist(value) if len(mu) % 2 else twist(value)), bound, den
-    if derive == "fold":  # W_k = Y_k - Y_{k+2}, Y*_k = W*_k - W*_{k-2}
+    if kind != "Y":  # W_k = Y_k - Y_{k+2}, Y*_k = W*_k - W*_{k-2}
+        source, step = ("Y", 2) if kind == "W" else ("Wstar", -2)
         rows = [_mode_row_scaled(source, j, mu) for j in (k, k + step)]
         den = lcm(*(d for *_, d in rows))
         return (*combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
@@ -372,7 +344,7 @@ def _row_entries(kind: str, k: int, mu: tuple[int, ...]):
 
 
 def _check_kinds(*kinds: str) -> None:
-    if unknown := [kind for kind in kinds if kind not in MODE_SHAPES]:
+    if unknown := [kind for kind in kinds if kind not in MODE_KINDS]:
         raise ValueError(f"unknown mode kind {unknown[0]!r}")
 
 

@@ -16,7 +16,7 @@ a false identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -65,15 +65,7 @@ class Grid:
             raise ValueError("bounds must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "n_range": list(self.n_range),
-            "m_range": list(self.m_range),
-            "max_weight": self.max_weight,
-            "max_len": self.max_len,
-            "degree_cap": self.degree_cap,
-            "rng_seed": self.rng_seed,
-            "eval_points": self.eval_points,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data) -> "Grid":

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from spochar import clear_caches, cli, fock
 from spochar.characters import skew
 from spochar.fock import (
-    MODE_SHAPES,
+    MODE_KINDS,
     ZeroModeRequested,
     apply_mode,
     gamma_plus,
@@ -95,7 +95,7 @@ def test_negative_mode_creates_single_row():
 
 
 def test_mode_catalog_is_closed():
-    assert set(MODE_SHAPES) == {"Y", "Ystar", "W", "Wstar"}
+    assert MODE_KINDS == ("Y", "Ystar", "W", "Wstar")
 
 
 def _digest(lines):
@@ -116,7 +116,7 @@ GAMMA_PLUS_SHA256 = "278f60b2d3608e4a94005dfd66736f12d4c0874960bf0584eee31545621
 def test_mode_rows_are_pinned():
     lines = [
         _vector_line(f"{kind} {k} {mu}", apply_mode(kind, k, {mu: 1}))
-        for kind in MODE_SHAPES
+        for kind in MODE_KINDS
         for k in range(-4, 5)
         for w in range(5)
         for mu in partitions_of(w)
@@ -373,11 +373,19 @@ def test_mode_rows_match_the_series():
                     assert bound >= max(slots, default=0), (kind, k, mu)
 
 
-@pytest.mark.parametrize("kind_out,kind_in", [("X", "Y"), ("Y", "X")])
-def test_compose_rejects_an_unknown_kind(kind_out, kind_in):
-    # Y_1 kills the vacuum, so with an unknown outer kind no outer row is read
+@pytest.mark.parametrize(
+    "act",
+    [
+        pytest.param(lambda: fock.compose("X", 1, "Y", 1, ()), id="X-Y"),
+        pytest.param(lambda: fock.compose("Y", 1, "X", 1, ()), id="Y-X"),
+        pytest.param(lambda: apply_mode("X", 1, vacuum()), id="apply_mode"),
+    ],
+)
+def test_compose_rejects_an_unknown_kind(act):
+    # Y_1 kills the vacuum, so with an unknown outer kind no outer row is read;
+    # unchecked, an unknown kind would fall into a row branch and get a row
     with pytest.raises(ValueError, match="unknown mode kind 'X'"):
-        fock.compose(kind_out, 1, kind_in, 1, ())
+        act()
 
 
 # --- the integer composition path behind the commutation suite ---
