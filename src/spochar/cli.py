@@ -288,10 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -74,8 +74,6 @@ from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, zvar
 # operations below use only +, * and truthiness, so they accept either.
 FockVector = dict[tuple[int, ...], int | Fraction | LaurentPoly]
 
-WPoly = dict[int, int]  # an integer Laurent polynomial in w: {power: coeff}
-
 
 class ZeroModeRequested(ValueError):
     """The Heisenberg index 0 is central and has no action here."""
@@ -222,19 +220,6 @@ def _zfactor(nu: tuple[int, ...]) -> int:
     return z
 
 
-def _conv(a: WPoly, b: WPoly) -> WPoly:
-    out: WPoly = {}
-    for p, q in a.items():
-        for r, s in b.items():
-            key = p + r
-            val = out.get(key, 0) + q * s
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _splits(rho: tuple[int, ...]):
     """Every split of p_rho by the Taylor shift, as ((kappa, rest, int), ...).
@@ -264,11 +249,16 @@ def _splits(rho: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def _annihilation_wpoly(kappa: tuple[int, ...]):
-    """prod_{r in kappa} -(w^r + w^-r), Y(w)'s c_kappa, as ((power, int), ...)."""
-    wp: WPoly = {0: 1}
-    for r in kappa:
-        wp = _conv(wp, {r: -1, -r: -1})
-    return tuple(sorted(wp.items()))
+    """prod_{r in kappa} -(w^r + w^-r), Y(w)'s c_kappa, as ((power, int), ...).
+
+    Each choice of signs s gives the term (-1)^len(kappa) w^(sum s*r); all
+    terms share that sign, so the expansion only counts powers."""
+    sign = (-1) ** len(kappa)
+    out: dict[int, int] = {}
+    for signs in product((1, -1), repeat=len(kappa)):
+        p = sum(s * r for s, r in zip(signs, kappa))
+        out[p] = out.get(p, 0) + sign
+    return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)

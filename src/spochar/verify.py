@@ -1,9 +1,11 @@
 """Identity verification suites.
 
-Each suite runs a bounded grid of exact checks and returns a CheckReport:
+Each suite runs a bounded grid of exact checks and yields a CheckReport:
 how many instances ran, which failed (smallest first), and any notes worth
 surfacing (for example which orthogonal Cauchy product variant matched).
-Failures carry short textual renderings of both sides.
+Failures carry short textual renderings of both sides.  `run_suite` opens
+each suite's session under its `SUITES` name and closes it into the report,
+so a suite function only records its checks.
 
 The final verdict of every comparison is structural equality of canonical
 Laurent polynomials.  Random-point evaluation (grid.eval_points > 0) is a
@@ -63,6 +65,14 @@ class Grid:
                 raise ValueError("ranges must be 0 <= lo <= hi")
         if min(self.max_weight, self.max_len, self.degree_cap, self.eval_points) < 0:
             raise ValueError("bounds must be >= 0")
+
+    @property
+    def ns(self) -> range:
+        return range(self.n_range[0], self.n_range[1] + 1)
+
+    @property
+    def ms(self) -> range:
+        return range(self.m_range[0], self.m_range[1] + 1)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -188,13 +198,12 @@ _RELATIONS = (
 )
 
 
-def check_commutation(grid: Grid) -> CheckReport:
+def check_commutation(ses: _Session, grid: Grid) -> None:
     """Quadratic exchange relations for all four mode families, on every
     power-sum basis vector up to the weight bound.
 
     Each residual is a packed Fock row (see `fock`) with a certified slot
     bound, so it is zero exactly when its int is 0."""
-    ses = _Session("commutation", grid)
     bound = grid.degree_cap
     basis = [
         mu for w in range(grid.max_weight + 1) for mu in partitions_of(w)
@@ -239,12 +248,10 @@ def check_commutation(grid: Grid) -> CheckReport:
                     )
                 else:
                     ses.ok()
-    return ses.report()
 
 
-def check_orthonormality(grid: Grid) -> CheckReport:
+def check_orthonormality(ses: _Session, grid: Grid) -> None:
     """pairing(mu, lam) is 1 when the partitions agree and 0 otherwise."""
-    ses = _Session("orthonormality", grid)
     lams = _lams(grid.max_weight, grid.max_len)
     for family in ("sp", "o"):
         for mu in lams:
@@ -257,12 +264,10 @@ def check_orthonormality(grid: Grid) -> CheckReport:
                     got,
                     want,
                 )
-    return ses.report()
 
 
-def check_bialternants(grid: Grid) -> CheckReport:
+def check_bialternants(ses: _Session, grid: Grid) -> None:
     """Every closed ratio form against its determinant, multiplicatively."""
-    ses = _Session("bialternants", grid)
     n_lo, n_hi = grid.n_range
     for kind in BIALTERNANT_KINDS:
         # the forms with a plain variable z stop at n = 2; sp_odd has n+1 rows
@@ -274,7 +279,6 @@ def check_bialternants(grid: Grid) -> CheckReport:
                     f"{kind} lam={lam.parts} n={n}",
                     *bialternant(kind, lam, n),
                 )
-    return ses.report()
 
 
 # -- branching ---------------------------------------------------------------
@@ -321,23 +325,17 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                         )
 
 
-def check_branching(family: str, grid: Grid) -> CheckReport:
+def check_branching(ses: _Session, grid: Grid, family: str) -> None:
     """Universal branching over every split of both variable blocks."""
-    ses = _Session(f"branching_{family}", grid)
-    n_vals = range(grid.n_range[0], grid.n_range[1] + 1)
-    m_vals = range(grid.m_range[0], grid.m_range[1] + 1)
-    _run_branching(ses, family, n_vals, m_vals, grid, family)
-    return ses.report()
+    _run_branching(ses, family, grid.ns, grid.ms, grid, family)
 
 
-def check_branching_odd_sp(grid: Grid) -> CheckReport:
+def check_branching_odd_sp(ses: _Session, grid: Grid) -> None:
     """The single-plain-variable branching pair: the plain variable may ride
     with the skew factor (s=1) or with the inner character (s=0); plus the
     one-variable power collapse, which needs the horizontal-strip condition."""
-    ses = _Session("branching_odd_sp", grid)
-    n_vals = range(grid.n_range[0], grid.n_range[1] + 1)
-    _run_branching(ses, "sp", n_vals, [1], grid, "sp odd")
-    for n in n_vals:
+    _run_branching(ses, "sp", grid.ns, [1], grid, "sp odd")
+    for n in grid.ns:
         for lam in _lams(grid.max_weight, n + 1):
             big = lam.length
             # power collapse: one-variable skew pieces are single powers on
@@ -365,7 +363,6 @@ def check_branching_odd_sp(grid: Grid) -> CheckReport:
                 universal("sp", lam, n, 1),
                 rhs,
             )
-    return ses.report()
 
 
 # -- Cauchy ------------------------------------------------------------------
@@ -401,19 +398,13 @@ def _cauchy_lhs(family: str, n: int, m: int, ycount: int, cap: int) -> LaurentPo
     return acc
 
 
-CAUCHY_FAMILIES = ("sp", "sp_odd", "sp_n0", "o")
-
-
-def check_cauchy(family: str, grid: Grid) -> CheckReport:
+def check_cauchy(ses: _Session, grid: Grid, family: str) -> None:
     """Character-weighted Schur sums against truncated product sides.
 
     Grids are intersected with each family's designed envelope so a full run
     stays affordable; the orthogonal family tries the non-strict pair-product
     index range, then the strict one if that misses, and records which matches.
     """
-    if family not in CAUCHY_FAMILIES:
-        raise ValueError(f"unknown cauchy family {family!r}")
-    ses = _Session(f"cauchy_{family}", grid)
     cap = min(grid.degree_cap, 5)
     n_lo, n_hi = grid.n_range
     m_lo, m_hi = grid.m_range
@@ -449,7 +440,6 @@ def check_cauchy(family: str, grid: Grid) -> CheckReport:
         else:
             rhs = _cauchy_rhs(n, m, ycount, True, cap)
             ses.check((n + m, n, m), f"{family} n={n} m={m} D={cap}", lhs, rhs)
-    return ses.report()
 
 
 # -- transitions, GT, dual engine ---------------------------------------------
@@ -465,12 +455,11 @@ def _is_partition_seq(seq) -> bool:
     return all(a >= b for a, b in zip(seq, seq[1:])) and (not seq or seq[-1] >= 0)
 
 
-def check_transition_odd(grid: Grid) -> CheckReport:
+def check_transition_odd(ses: _Session, grid: Grid) -> None:
     """Rewrites of the one-plain-variable characters as signed sums of
     paired-variable characters with the plain variable adjoined as a pair."""
-    ses = _Session("transition_odd", grid)
     z1 = LaurentPoly.variable(zvar(1))
-    for n in range(grid.n_range[0], grid.n_range[1] + 1):
+    for n in grid.ns:
         # the symplectic sum runs over n+1 rows, the orthogonal one over n
         for family, rows in (("sp", n + 1), ("o", n)):
             for lam in _lams(grid.max_weight, rows):
@@ -500,13 +489,11 @@ def check_transition_odd(grid: Grid) -> CheckReport:
                     universal(family, lam, n, 1),
                     rhs,
                 )
-    return ses.report()
 
 
-def check_gt_sum(grid: Grid) -> CheckReport:
+def check_gt_sum(ses: _Session, grid: Grid) -> None:
     """Chain-weight sums against the determinant with the plain variable
     renamed to the extra paired variable; counts checked at the all-ones point."""
-    ses = _Session("gt_sum", grid)
     for n in range(max(1, grid.n_range[0]), grid.n_range[1] + 1):
         for lam in _lams(grid.max_weight, n):
             chains = list(gt_chains(lam, n))
@@ -530,17 +517,15 @@ def check_gt_sum(grid: Grid) -> CheckReport:
                     str(len(chains)),
                     str(dim),
                 )
-    return ses.report()
 
 
-def check_fock_vs_determinant(grid: Grid) -> CheckReport:
+def check_fock_vs_determinant(ses: _Session, grid: Grid) -> None:
     """Operator matrix elements against skew determinants, both families."""
-    ses = _Session("fock_vs_determinant", grid)
     dim_cap = 6
     alphas = _lams(grid.max_weight, dim_cap)
     for family in ("sp", "o"):
-        for n in range(grid.n_range[0], grid.n_range[1] + 1):
-            for m in range(grid.m_range[0], grid.m_range[1] + 1):
+        for n in grid.ns:
+            for m in grid.ms:
                 for alpha in alphas:
                     for beta in subpartitions(alpha, dim_cap):
                         l = beta.length
@@ -556,21 +541,18 @@ def check_fock_vs_determinant(grid: Grid) -> CheckReport:
                             me,
                             det,
                         )
-    return ses.report()
 
 
-def check_reductions(grid: Grid) -> CheckReport:
+def check_reductions(ses: _Session, grid: Grid) -> None:
     """Specialization bundle: no-paired-variable branchings, the reduced
     orthogonal determinant, the z=+-1 closed-form witnesses, and stability
     under permuting the plain-variable block."""
-    ses = _Session("reductions", grid)
-    m_vals = range(grid.m_range[0], grid.m_range[1] + 1)
     # (a) branchings with the paired block empty
-    _run_branching(ses, "sp", [0], m_vals, grid, "sp n=0")
-    _run_branching(ses, "o", [0], m_vals, grid, "o n=0")
+    _run_branching(ses, "sp", [0], grid.ms, grid, "sp n=0")
+    _run_branching(ses, "o", [0], grid.ms, grid, "o n=0")
     # (b) reduced determinant over h'_k = h_k - h_{k-2}
-    for n in range(grid.n_range[0], grid.n_range[1] + 1):
-        for m in m_vals:
+    for n in grid.ns:
+        for m in grid.ms:
             for lam in _lams(grid.max_weight, n):
                 ses.check(
                     (lam.weight, "reduce", n, m),
@@ -587,8 +569,8 @@ def check_reductions(grid: Grid) -> CheckReport:
                     *bialternant(f"o_odd z={zv}", lam, n),
                 )
     # (d) plain-block permutation stability for zero-padded shapes
-    for n in range(grid.n_range[0], grid.n_range[1] + 1):
-        for m in m_vals:
+    for n in grid.ns:
+        for m in grid.ms:
             if m < 2:
                 continue
             for lam in _lams(grid.max_weight, n + 1):
@@ -603,13 +585,11 @@ def check_reductions(grid: Grid) -> CheckReport:
                         base,
                         swapped,
                     )
-    return ses.report()
 
 
-def check_newton_suite(grid: Grid) -> CheckReport:
+def check_newton_suite(ses: _Session, grid: Grid) -> None:
     """Alternating elementary/complete recurrences tying the two h-families."""
-    ses = _Session("newton", grid)
-    for n in range(grid.n_range[0], grid.n_range[1] + 1):
+    for n in grid.ns:
         for m in range(max(1, grid.m_range[0]), grid.m_range[1] + 1):
             N = min(8, grid.degree_cap + 2)
             if check_newton(HSpec(n, m, "plain"), N):
@@ -618,20 +598,19 @@ def check_newton_suite(grid: Grid) -> CheckReport:
                 ses.fail(
                     (n + m, n, m), f"newton n={n} m={m} N={N}", "recurrence mismatch", ""
                 )
-    return ses.report()
 
 
 SUITES = {
     "commutation": check_commutation,
     "orthonormality": check_orthonormality,
     "bialternants": check_bialternants,
-    "branching_sp": lambda grid: check_branching("sp", grid),
-    "branching_o": lambda grid: check_branching("o", grid),
+    "branching_sp": lambda ses, grid: check_branching(ses, grid, "sp"),
+    "branching_o": lambda ses, grid: check_branching(ses, grid, "o"),
     "branching_odd_sp": check_branching_odd_sp,
-    "cauchy_sp": lambda grid: check_cauchy("sp", grid),
-    "cauchy_sp_odd": lambda grid: check_cauchy("sp_odd", grid),
-    "cauchy_sp_n0": lambda grid: check_cauchy("sp_n0", grid),
-    "cauchy_o": lambda grid: check_cauchy("o", grid),
+    "cauchy_sp": lambda ses, grid: check_cauchy(ses, grid, "sp"),
+    "cauchy_sp_odd": lambda ses, grid: check_cauchy(ses, grid, "sp_odd"),
+    "cauchy_sp_n0": lambda ses, grid: check_cauchy(ses, grid, "sp_n0"),
+    "cauchy_o": lambda ses, grid: check_cauchy(ses, grid, "o"),
     "transition_odd": check_transition_odd,
     "gt_sum": check_gt_sum,
     "fock_vs_determinant": check_fock_vs_determinant,
@@ -645,4 +624,6 @@ SUITE_NAMES = tuple(SUITES)
 def run_suite(name: str, grid: Grid | None = None) -> CheckReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    return SUITES[name](grid or Grid())
+    ses = _Session(name, grid or Grid())
+    SUITES[name](ses, ses.grid)
+    return ses.report()

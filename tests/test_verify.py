@@ -86,11 +86,39 @@ SMALL_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("name", SUITE_NAMES)
-def test_each_suite_passes_on_small_grid(name):
-    rep = run_suite(name, SMALL)
+# a grid whose ranges start at 1, so every suite's lower bounds are read
+SHIFTED = Grid(n_range=(1, 2), m_range=(1, 2), max_weight=3, max_len=3, degree_cap=3)
+SHIFTED_COUNTS = {
+    "commutation": 2058,
+    "orthonormality": 98,
+    "bialternants": 53,
+    "branching_sp": 171,
+    "branching_o": 171,
+    "branching_odd_sp": 119,
+    "cauchy_sp": 2,
+    "cauchy_sp_odd": 2,
+    "cauchy_sp_n0": 2,
+    "cauchy_o": 2,
+    "transition_odd": 82,
+    "gt_sum": 20,
+    "fock_vs_determinant": 172,
+    "reductions": 105,
+    "newton": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "name,grid,count",
+    [
+        pytest.param(name, grid, counts[name], id=name + tag)
+        for tag, grid, counts in (("", SMALL, SMALL_COUNTS), ("-shifted", SHIFTED, SHIFTED_COUNTS))
+        for name in SUITE_NAMES
+    ],
+)
+def test_each_suite_passes_on_small_grid(name, grid, count):
+    rep = run_suite(name, grid)
     assert rep.passed, rep.failures[:3]
-    assert rep.instances_run == SMALL_COUNTS[name]
+    assert rep.instances_run == count
     assert rep.check_name == name
 
 
