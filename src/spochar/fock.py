@@ -1,8 +1,9 @@
 """Truncated bosonic Fock-space engine.
 
-A vector is a dict mapping a power-sum index (a partition tuple, parts
-descending) to an exact rational coefficient (int or Fraction).  The
-Heisenberg generators act by
+A public vector is a dict mapping a power-sum index (a partition tuple, parts
+descending) to an exact rational coefficient (int or Fraction).  Inside,
+kets and bras are integers over one denominator, and a matrix element
+contracts them in integers and divides once.  The Heisenberg generators act by
 
     a_{-n} p_mu = p_{mu + part n},      a_n p_mu = n * m_n(mu) p_{mu - part n},
 
@@ -24,9 +25,9 @@ The W*_k row of p_mu is the Y_{-k} row with slot nu multiplied by
 Y row's bound still holds, and the terms are the same, so the denominator is
 too.  A W or Y* row is a combination of two rows, bounded as in Packed
 rows.  The half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z))
-is the only place the character variables enter: it maps a rational ket to
+is the only place the character variables enter: it maps a ket to
 Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
-contracts those against rational bra coefficients.
+contracts those against bra coefficients.
 
 Both annihilation exponentials are one Taylor shift p_r -> p_r + c_r, read
 from the cached split table `_splits`.  The mode action on a basis vector is
@@ -71,7 +72,8 @@ from .partitions import Partition, PartitionTooLong, partitions_of
 from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, zvar
 
 # Coefficients are int/Fraction; after gamma_plus they are LaurentPolys.  The
-# operations below use only +, * and truthiness, so they accept either.
+# operations below use only +, * and truthiness, so they accept either, and
+# plain ints too: kets are built as int vectors over one denominator.
 FockVector = dict[tuple[int, ...], int | Fraction | LaurentPoly]
 
 
@@ -362,10 +364,14 @@ def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, .
 
 @lru_cache(maxsize=None)
 def _ket_cached(kind: str, parts: tuple[int, ...]):
-    vec = vacuum()
-    for part in reversed(parts):
-        vec = apply_mode(kind, -part, vec)
-    return tuple(vec.items())
+    """Creation modes applied inside-out to the vacuum: (((mu, int), ...), den)."""
+    vec, den = vacuum(), 1
+    for part in reversed(parts):  # rows over their lcm d, with int weights
+        rows = {mu: _row_entries(kind, -part, mu) for mu in vec}
+        d = lcm(*(rd for _, rd in rows.values()))
+        vec = _linear(vec, lambda mu: [(nu, v * (d // rows[mu][1])) for nu, v in rows[mu][0]])
+        den *= d
+    return tuple(vec.items()), den
 
 
 def ket(lam: Partition, family: str) -> FockVector:
@@ -374,8 +380,8 @@ def ket(lam: Partition, family: str) -> FockVector:
     The declared length of lam fixes the word length, so trailing zero parts
     contribute index-0 modes (which fix the vacuum but matter mid-word).
     """
-    kind = _PLAIN_OF[family]
-    return dict(_ket_cached(kind, lam.padded(lam.declared_len)))
+    entries, den = _ket_cached(_PLAIN_OF[family], lam.padded(lam.declared_len))
+    return {mu: Fraction(v, den) for mu, v in entries}
 
 
 @lru_cache(maxsize=None)
@@ -406,14 +412,16 @@ def gamma_plus(n: int, m: int, vec: FockVector) -> FockVector:
 
 @lru_cache(maxsize=None)
 def _bra_on_basis(star: str, word: tuple[int, ...], nu: tuple[int, ...]):
-    """<0| X*_{-b_L} ... X*_{-b_1} p_nu for word = (b_1, ..., b_L), a rational.
+    """<0| X*_{-b_L} ... X*_{-b_1} p_nu for word = (b_1, ..., b_L), as
+    (int, denominator).
 
     Recursing on the word's tail shares every suffix between bras."""
     if not word:
-        return int(nu == ())
+        return int(nu == ()), 1
     entries, den = _row_entries(star, -word[0], nu)
-    total = sum(v * _bra_on_basis(star, word[1:], rho) for rho, v in entries)
-    return Fraction(total, den)
+    tails = [(v, *_bra_on_basis(star, word[1:], rho)) for rho, v in entries]
+    d = lcm(*(td for _, _, td in tails))
+    return sum(v * t * (d // td) for v, t, td in tails), den * d
 
 
 def matrix_element(
@@ -429,19 +437,21 @@ def matrix_element(
     if alpha.length > l + n + m:
         raise PartitionTooLong(f"{alpha.parts} needs more than {l + n + m} rows")
     star, word = _STAR_OF[family], beta.padded(l)
-    # contract the rational scalars per removed multiset kappa first, then
-    # scale-add each distinct P_kappa once
-    scalars: dict[tuple[int, ...], Fraction] = {}
-    for rho, f in ket(alpha.with_declared(l + n + m), family).items():
-        for kappa, rest, c in _splits(rho):
-            s = f * c * _bra_on_basis(star, word, rest)
-            if s:
-                scalars[kappa] = scalars.get(kappa, 0) + s
-    out = ZERO
-    for kappa, s in scalars.items():
-        if s:
-            out = out + _power_sum_product(n, m, kappa) * s
-    return out
+    entries, den = _ket_cached(_PLAIN_OF[family], alpha.padded(l + n + m))
+    # contract the int scalar of each removed multiset kappa over one common
+    # denominator, scale-add each distinct P_kappa once, and divide the whole
+    # polynomial once: one kappa's scalar need not be integral where the sum is
+    terms = [(kappa, f * c, _bra_on_basis(star, word, rest))
+             for rho, f in entries for kappa, rest, c in _splits(rho)]
+    common = lcm(*(bd for _, _, (b, bd) in terms if b))
+    scalars: dict[tuple[int, ...], int] = {}
+    for kappa, fc, (b, bd) in terms:
+        if b:
+            scalars[kappa] = scalars.get(kappa, 0) + fc * b * (common // bd)
+    out = sum((_power_sum_product(n, m, kappa) * s for kappa, s in scalars.items() if s), ZERO)
+    den *= common  # one exact divmod per (int) coefficient of out
+    exact = ((key, c, *divmod(c, den)) for key, c in out._terms.items())
+    return LaurentPoly({key: Fraction(c, den) if r else q for key, c, q, r in exact}, out._bound)
 
 
 def pairing(mu: Partition, lam: Partition, family: str) -> LaurentPoly:

@@ -24,7 +24,7 @@ from spochar.fock import (
     pairing,
     vacuum,
 )
-from spochar.partitions import Partition, enumerate_partitions, partitions_of
+from spochar.partitions import Partition, enumerate_partitions, partitions_of, subpartitions
 from spochar.ring import ONE, ZERO, LaurentPoly, xvar, zvar
 
 P = Partition
@@ -161,6 +161,15 @@ def test_pairing_examples():
     assert pairing(P((2,)), P((1, 1)), "sp") == ZERO
     assert pairing(P(()), P((1,)), "sp") == ZERO
     assert pairing(P((2, 1)), P((2, 1)), "o") == ONE
+    # the ket of (2,) has denominator 2; at n = m = 0 every P_kappa but P_()
+    # vanishes, yet the other kappa's scalars are not integral: the whole sum
+    # is divided once, never kappa by kappa
+    for fam in ("sp", "o"):
+        assert pairing(P(()), P((2,)), fam) == ZERO
+        assert pairing(P(()), P((1, 1)), fam) == ZERO
+        assert any(Fraction(c).denominator > 1 for c in ket(P((2,)), fam).values())
+        assert matrix_element(P((2,)), 0, 0, P((2,)), fam) == ONE
+        assert matrix_element(P((1, 1)), 0, 0, P((2,)), fam) == ZERO
 
 
 # --- half vertex operator and matrix elements ---
@@ -219,9 +228,69 @@ def test_matrix_element_agrees_with_determinants():
                     assert got == want, (fam, alpha.parts, beta.parts, n, m)
 
 
+# the rational contraction the integer one replaced, kept as an oracle: a
+# Fraction ket from `apply_mode` applied inside-out, a Fraction bra by
+# recursion on the word, and rational scalars per removed multiset kappa
+PLAIN, STAR = {"sp": "Y", "o": "W"}, {"sp": "Ystar", "o": "Wstar"}
+
+
+def _rational_ket(lam, fam):
+    vec = vacuum()
+    for part in reversed(lam.padded(lam.declared_len)):
+        vec = apply_mode(PLAIN[fam], -part, vec)
+    return vec
+
+
+def _rational_bra(star, word, nu):
+    if not word:
+        return int(nu == ())
+    row = apply_mode(star, -word[0], {nu: 1})
+    return sum(f * _rational_bra(star, word[1:], rho) for rho, f in row.items())
+
+
+def _rational_matrix_element(beta, n, m, alpha, fam):
+    l = beta.declared_len
+    scalars = {}
+    for rho, f in _rational_ket(alpha.with_declared(l + n + m), fam).items():
+        for kappa, rest, c in fock._splits(rho):
+            s = f * c * _rational_bra(STAR[fam], beta.padded(l), rest)
+            if s:
+                scalars[kappa] = scalars.get(kappa, 0) + s
+    out = ZERO
+    for kappa, s in scalars.items():
+        if s:
+            out = out + fock._power_sum_product(n, m, kappa) * s
+    return out
+
+
+def test_ket_is_apply_mode_inside_out():
+    for fam in ("sp", "o"):
+        for lam in enumerate_partitions(4, 4):
+            for k in range(lam.length, 5):
+                want = _rational_ket(lam.with_declared(k), fam)
+                assert ket(lam.with_declared(k), fam) == want, (fam, lam.parts, k)
+
+
+def test_matrix_element_matches_rational_contraction():
+    cases = 0
+    for fam in ("sp", "o"):
+        for alpha in enumerate_partitions(4, 4):
+            for beta in subpartitions(alpha, 4):
+                l = beta.length
+                b = beta.with_declared(l)
+                for n in range(5 - l):
+                    for m in range(5 - l - n):
+                        if alpha.length > l + n + m:
+                            continue
+                        want = _rational_matrix_element(b, n, m, alpha, fam)
+                        got = matrix_element(b, n, m, alpha, fam)
+                        assert got == want, (fam, alpha.parts, beta.parts, n, m)
+                        cases += 1
+    assert cases == 846
+
+
 def test_matrix_element_matches_polynomial_path():
     # reference: Gamma_+ on the ket, then the star word on polynomial vectors
-    star = {"sp": "Ystar", "o": "Wstar"}
     for fam in ("sp", "o"):
         for alpha in (P((1,)), P((2, 1)), P((2, 2)), P((3, 1))):
             for beta in (P(()), P((1,)).with_declared(1), P((1,)).with_declared(2), P((2, 1))):
@@ -231,7 +300,7 @@ def test_matrix_element_matches_polynomial_path():
                         continue
                     vec = gamma_plus(n, m, ket(alpha.with_declared(l + n + m), fam))
                     for b in beta.padded(l):
-                        vec = apply_mode(star[fam], -b, vec)
+                        vec = apply_mode(STAR[fam], -b, vec)
                     want = vec.get((), 0)
                     got = matrix_element(beta, n, m, alpha, fam)
                     assert got == want, (fam, alpha.parts, beta.parts, n, m)
