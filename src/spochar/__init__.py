@@ -52,10 +52,12 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every cache the package keeps: each `lru_cache` and the Fock
-    basis-id table.  Later results are the same; they are only recomputed."""
+    basis-id table, and pack Fock rows at the narrowest slot width again.
+    Later results are the same; they are only recomputed."""
     for module in (characters, fock, partitions, ring, series):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+    fock._use_width(fock.SLOT_WIDTHS[0])  # packed caches and slot width in one step
     fock.PARTS.clear()
     fock._PID.clear()

@@ -56,6 +56,16 @@ bound of every packed value and raises `SlotOverflow` once it reaches
 2^(B-1), so no verdict is ever read from an integer that could hide a nonzero
 slot.  Nothing is modular or sampled.
 
+The slot width climbs a ladder of two rungs, `SLOT_WIDTHS` = (64, 128).
+Packing starts at 64 bits, where every multiply-add works on half the bits.
+When `certify` raises below the top rung, the outermost call holding packed
+values (`verify.run_suite`, `apply_mode`, `ket`, `matrix_element`) empties
+the packed caches, moves to 128 bits and reruns from the start, so no value
+packed at one width meets one packed at another; at 128 bits the overflow is
+final.  The largest bound in the commutation suite is 63 bits on the
+weight-2 benchmark grid, which never widens, and 99 bits on the weight-6
+acceptance grid, which runs at 128 bits after a short start at 64.
+
 Everything is exact and nothing is truncated: the shift is a finite sum over
 sub-multisets, and extracting one power of w bounds the weight the creation
 exponential adds.
@@ -64,7 +74,7 @@ exponential adds.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 from math import comb, factorial, lcm
 
@@ -90,7 +100,10 @@ def vacuum() -> FockVector:
     return {(): 1}
 
 
-SLOT_BITS = 128  # bits per packed slot; a multiple of 8 (`unpack` reads bytes)
+# Bits per packed slot, each a multiple of 8 (`unpack` reads bytes): packing
+# starts at the narrowest rung and `_widening` moves up once a bound needs it.
+SLOT_WIDTHS = (64, 128)
+SLOT_BITS = SLOT_WIDTHS[0]
 
 # Basis ids by weight: all partitions of weight 0, then of weight 1, ..., each
 # weight in `partitions_of` order, so a row of low weight packs into a short
@@ -111,10 +124,15 @@ def pid(nu: tuple[int, ...]) -> int:
     return i
 
 
+class _RowOverflow(SlotOverflow):
+    """A packed Fock value's bound reached half its slot; a wider slot may hold
+    it, unlike a Laurent-ring exponent overflow."""
+
+
 def certify(bound: int) -> int:
     """Return `bound`, or raise SlotOverflow where packing stops being injective."""
     if bound >> (SLOT_BITS - 1):
-        raise SlotOverflow(
+        raise _RowOverflow(
             f"packed slot bound of {bound.bit_length()} bits reaches the "
             f"{SLOT_BITS}-bit slot width"
         )
@@ -335,11 +353,55 @@ def _row_entries(kind: str, k: int, mu: tuple[int, ...]):
     return tuple((PARTS[i], v) for i, v in unpack(value)), den
 
 
+_PACKED_CACHES = (_odd_mask, _creation_block, _mode_row_scaled)
+_holding = False  # whether a `_widening` call is running
+
+
+def _use_width(bits: int) -> None:
+    """Pack in `bits`-bit slots from now on.  Every cache of packed values is
+    emptied in the same step, so no value packed at one width meets one
+    packed at another; unpacked rows, kets, bras and ids mean the same at
+    every width and stay."""
+    global SLOT_BITS
+    for cache in _PACKED_CACHES:
+        cache.cache_clear()
+    SLOT_BITS = bits
+
+
+def _widening(fn):
+    """Run `fn` as the outermost holder of packed values: when a Fock slot
+    overflows below the widest rung of SLOT_WIDTHS, move to the next rung and
+    rerun the whole call.  A call made while another holder runs is passed
+    through, so that holder reruns instead.  At the widest rung the overflow
+    is final, and a Laurent-ring exponent overflow is never caught."""
+
+    @wraps(fn)
+    def run(*args, **kwargs):
+        global _holding
+        if _holding:
+            return fn(*args, **kwargs)
+        _holding = True
+        try:
+            while True:
+                try:
+                    return fn(*args, **kwargs)
+                except _RowOverflow:
+                    wider = [bits for bits in SLOT_WIDTHS if bits > SLOT_BITS]
+                    if not wider:
+                        raise
+                    _use_width(wider[0])
+        finally:
+            _holding = False
+
+    return run
+
+
 def _check_kinds(*kinds: str) -> None:
     if unknown := [kind for kind in kinds if kind not in MODE_KINDS]:
         raise ValueError(f"unknown mode kind {unknown[0]!r}")
 
 
+@_widening
 def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
     """Apply the mode X_k of the given kind to a vector, exactly."""
     _check_kinds(kind)
@@ -374,6 +436,7 @@ def _ket_cached(kind: str, parts: tuple[int, ...]):
     return tuple(vec.items()), den
 
 
+@_widening
 def ket(lam: Partition, family: str) -> FockVector:
     """The highest-weight vector for lam: creation modes applied inside-out.
 
@@ -424,6 +487,7 @@ def _bra_on_basis(star: str, word: tuple[int, ...], nu: tuple[int, ...]):
     return sum(v * t * (d // td) for v, t, td in tails), den * d
 
 
+@_widening
 def matrix_element(
     beta: Partition, n: int, m: int, alpha: Partition, family: str
 ) -> LaurentPoly:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spochar import fock
 from spochar.cli import main
 from spochar.verify import SUITE_NAMES, CheckReport
 
@@ -294,6 +295,7 @@ def test_exponent_overflow_exits_2(capsys, narrow_monomial_slots):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: exponent bound ") and "Traceback" not in err
+    assert fock.SLOT_BITS == fock.SLOT_WIDTHS[0]  # wider Fock slots cannot cure it
 
 
 def test_usage_errors_exit_2(capsys):

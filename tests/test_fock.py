@@ -473,19 +473,47 @@ def test_compose_matches_apply_mode_twice():
 # --- packed rows ---
 
 _HALF = 1 << (fock.SLOT_BITS - 1)
-slot_vectors = st.dictionaries(
-    st.integers(0, 60), st.integers(1 - _HALF, _HALF - 1).filter(bool), max_size=12
+
+
+def _slot_vectors(bits):
+    half = 1 << (bits - 1)
+    return st.dictionaries(
+        st.integers(0, 60), st.integers(1 - half, half - 1).filter(bool), max_size=12
+    )
+
+
+# (slot width, vector) at every rung of the slot-width ladder
+rung_vectors = st.sampled_from(fock.SLOT_WIDTHS).flatmap(
+    lambda bits: st.tuples(st.just(bits), _slot_vectors(bits))
 )
 
 
-@given(slot_vectors)
-@example({})
-@example({0: -1})
-@example({3: 5, 7: 1 - _HALF})
-@example({0: _HALF - 1, 1: 1 - _HALF, 2: _HALF - 1})
-def test_unpack_inverts_pack(vec):
+def at_every_rung(*edges):
+    """Pin each edge vector, a function of the half slot, as a Hypothesis
+    example at every rung."""
+
+    def pin(test):
+        for bits in fock.SLOT_WIDTHS:
+            for edge in edges:
+                test = example((bits, edge(1 << (bits - 1))))(test)
+        return test
+
+    return pin
+
+
+@given(rung_vectors)
+@at_every_rung(
+    lambda half: {},
+    lambda half: {0: -1},
+    lambda half: {3: 5, 7: 1 - half},
+    lambda half: {0: half - 1, 1: 1 - half, 2: half - 1},
+)
+def test_unpack_inverts_pack(rung_vec):
+    bits, vec = rung_vec
     entries = sorted(vec.items())
-    assert fock.unpack(fock.pack(entries)) == entries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "SLOT_BITS", bits)
+        assert fock.unpack(fock.pack(entries)) == entries
 
 
 def test_certify_stops_at_half_the_slot():
@@ -496,10 +524,12 @@ def test_certify_stops_at_half_the_slot():
 
 @pytest.fixture
 def narrow_slots(monkeypatch):
-    """Packed values built with 16-bit slots; every cache is emptied around
-    the test so that no row of either width outlives it."""
+    """Packed values built with 16-bit slots and no wider rung to move to;
+    every cache is emptied around the test so that no row of either width
+    outlives it."""
+    monkeypatch.setattr(fock, "SLOT_WIDTHS", (16,))
     clear_caches()
-    monkeypatch.setattr(fock, "SLOT_BITS", 16)
+    assert fock.SLOT_BITS == 16
     yield
     monkeypatch.undo()
     clear_caches()
@@ -516,6 +546,27 @@ def test_narrow_slots_raise_instead_of_a_verdict(narrow_slots, capsys):
     assert "PASS" not in out and "slot" in err
 
 
+def test_widening_never_changes_a_result(monkeypatch):
+    # each call overflows a 64-bit slot, so it reruns at 128 bits, and must
+    # return what a run that starts at 128 bits returns
+    from spochar.verify import Grid, run_suite
+
+    calls = {
+        "commutation": lambda: run_suite("commutation", Grid(max_weight=3)).to_json(),
+        "apply_mode": lambda: apply_mode("Y", -8, {(3, 3, 3, 3): 1}),
+        "ket": lambda: ket(P((8, 6, 4)), "sp"),
+    }
+    for name, call in calls.items():
+        clear_caches()
+        assert fock.SLOT_BITS == 64
+        widened = call()
+        assert fock.SLOT_BITS == 128, name
+        with monkeypatch.context() as mp:
+            mp.setattr(fock, "SLOT_WIDTHS", (128,))
+            clear_caches()
+            assert call() == widened, name
+
+
 # --- the omega twist of packed values ---
 
 
@@ -526,19 +577,22 @@ def _assert_twist_flips_odd_lengths(vec):
     assert fock.twist(fock.pack(entries)) == fock.pack(flipped)
 
 
-@given(slot_vectors)
-@example({})
-@example({0: 5})
-@example({60: 1 - _HALF})
-@example({1: _HALF - 1, 2: 1 - _HALF, 3: _HALF - 1, 4: 1 - _HALF})
-def test_twist_flips_the_odd_length_slots(vec):
-    _assert_twist_flips_odd_lengths(vec)
+@given(rung_vectors)
+@at_every_rung(
+    lambda half: {},
+    lambda half: {0: 5},
+    lambda half: {60: 1 - half},
+    lambda half: {1: half - 1, 2: 1 - half, 3: half - 1, 4: 1 - half},
+)
+def test_twist_flips_the_odd_length_slots(rung_vec):
+    bits, vec = rung_vec
+    with pytest.MonkeyPatch.context() as mp:  # twist masks are keyed by width
+        mp.setattr(fock, "SLOT_BITS", bits)
+        _assert_twist_flips_odd_lengths(vec)
 
 
 _HALF16 = 1 << 15
-narrow_slot_vectors = st.dictionaries(
-    st.integers(0, 60), st.integers(1 - _HALF16, _HALF16 - 1).filter(bool), max_size=12
-)
+narrow_slot_vectors = _slot_vectors(16)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -552,8 +606,8 @@ def test_twist_flips_the_odd_length_slots_in_narrow_slots(narrow_slots, vec):
 
 
 def test_twist_masks_are_keyed_by_slot_width(monkeypatch):
-    # no cache is emptied between the widths: a mask built for 128-bit slots
-    # must not be read for 16-bit ones
+    # no cache is emptied between the widths: a mask built for the default
+    # slots must not be read for 16-bit ones
     _assert_twist_flips_odd_lengths({1: 7, 5: -3, 40: 2})
     monkeypatch.setattr(fock, "SLOT_BITS", 16)
     _assert_twist_flips_odd_lengths({1: 7, 5: -3, 40: 1 - _HALF16})

@@ -125,7 +125,10 @@ def test_each_suite_passes_on_small_grid(name, grid, count):
 def test_clear_caches_empties_every_cache_and_keeps_reports():
     names = ("commutation", "fock_vs_determinant")
     first = [run_suite(name, SMALL).to_json() for name in names]
+    fock.apply_mode("Y", -8, {(3, 3, 3, 3): 1})  # its bound needs 128-bit slots
+    assert fock.SLOT_BITS == 128
     clear_caches()
+    assert fock.SLOT_BITS == fock.SLOT_WIDTHS[0]
     caches = [
         obj
         for info in pkgutil.iter_modules(spochar.__path__)
