@@ -79,7 +79,7 @@ from itertools import product
 from math import comb, factorial, lcm
 
 from .partitions import Partition, PartitionTooLong, partitions_of
-from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, zvar
+from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, dot, xvar, zvar
 
 # Coefficients are int/Fraction; after gamma_plus they are LaurentPolys.  The
 # operations below use only +, * and truthiness, so they accept either, and
@@ -512,7 +512,10 @@ def matrix_element(
     for kappa, fc, (b, bd) in terms:
         if b:
             scalars[kappa] = scalars.get(kappa, 0) + fc * b * (common // bd)
-    out = sum((_power_sum_product(n, m, kappa) * s for kappa, s in scalars.items() if s), ZERO)
+    out = dot(
+        (_power_sum_product(n, m, kappa), LaurentPoly.constant(s))
+        for kappa, s in scalars.items()
+    )
     den *= common  # one exact divmod per (int) coefficient of out
     exact = ((key, c, *divmod(c, den)) for key, c in out._terms.items())
     return LaurentPoly({key: Fraction(c, den) if r else q for key, c, q, r in exact}, out._bound)

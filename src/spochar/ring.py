@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -247,27 +247,7 @@ class LaurentPoly:
                 {m: _norm_coeff(c * other) for m, c in self._terms.items()},
                 self._bound,
             )
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return ZERO
-        # keys add slot by slot; the bound proves no slot leaves its range
-        bound = _checked(self._bound + other._bound)
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                c = get(k, 0) + ca * cb
-                if c:
-                    out[k] = c
-                else:
-                    del out[k]
-        # products of int coefficients need no normalizing pass
-        if Fraction in map(type, a.values()) or Fraction in map(type, b.values()):
-            out = {k: _norm_coeff(c) for k, c in out.items()}
-        return LaurentPoly(out, bound)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -291,12 +271,9 @@ class LaurentPoly:
             return {d: LaurentPoly(g, p._bound) for d, g in groups.items()}
 
         a, b = by_degree(self), by_degree(other)
-        out = ZERO
-        for da, pa in a.items():
-            for db, pb in b.items():
-                if da + db <= cap:
-                    out = out + pa * pb
-        return out
+        return dot(
+            (pa, pb) for da, pa in a.items() for db, pb in b.items() if da + db <= cap
+        )
 
     # -- specialization ----------------------------------------------------
 
@@ -309,13 +286,11 @@ class LaurentPoly:
                 if v not in point:
                     raise MissingAssignment(f"no value for {v.text()}")
                 a = Fraction(point[v])
-                if a == 0:
-                    if e < 0:
-                        raise ZeroAssignedToLaurentVariable(
-                            f"{v.text()} has negative exponent but value 0"
-                        )
-                    t = Fraction(0)
-                    break
+                # a zero factor still leaves the term's later variables to check
+                if a == 0 and e < 0:
+                    raise ZeroAssignedToLaurentVariable(
+                        f"{v.text()} has negative exponent but value 0"
+                    )
                 t *= a**e
             total += t
         return total
@@ -420,6 +395,34 @@ def _format_term(m: Monomial, c: Coeff) -> str:
 ZERO = LaurentPoly({}, 0)
 ONE = LaurentPoly({0: 1}, 0)
 
+
+def dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """Sum of a * b over the pairs, every product accumulated into one dict."""
+    out: dict = {}
+    get = out.get
+    bound = 0
+    for a, b in pairs:
+        ta, tb = a._terms, b._terms
+        if not ta or not tb:
+            continue
+        # keys add slot by slot; the bound proves no slot leaves its range
+        bound = max(bound, _checked(a._bound + b._bound))
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        for ka, ca in ta.items():
+            for kb, cb in tb.items():
+                k = ka + kb
+                c = get(k, 0) + ca * cb
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+    # sums of int products need no normalizing pass
+    if Fraction in map(type, out.values()):
+        out = {k: _norm_coeff(c) for k, c in out.items()}
+    return LaurentPoly(out, bound)
+
+
 DET_DIM_CAP = 10  # largest dimension `det_of` expands
 
 
@@ -447,21 +450,19 @@ def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         got = memo.get(mask)
         if got is not None:
             return got
-        r = n - mask.bit_count()
-        row = rows[r]
-        acc = ZERO
+        row = rows[n - mask.bit_count()]
+        pairs = []
         s = 1
         rest = mask
         while rest:
             low = rest & -rest
-            c = low.bit_length() - 1
-            entry = row[c]
+            entry = row[low.bit_length() - 1]
             if entry:
-                term = entry * minor(mask ^ low)
-                acc = acc + term if s > 0 else acc - term
+                sub = minor(mask ^ low)
+                pairs.append((entry, sub if s > 0 else -sub))
             s = -s
             rest ^= low
-        memo[mask] = acc
+        memo[mask] = acc = dot(pairs)
         return acc
 
     result = minor((1 << n) - 1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ring import ONE, ZERO, LaurentPoly, Monomial, xvar, yvar, zvar
+from .ring import ONE, ZERO, LaurentPoly, Monomial, _checked, dot, xvar, yvar, zvar
 
 Z_MODES = ("plain", "symmetric")
 
@@ -52,14 +52,24 @@ def _geom_factors(spec: HSpec) -> tuple[Monomial, ...]:
 
 @lru_cache(maxsize=None)
 def _geom_product(factors: tuple[Monomial, ...], N: int) -> tuple[LaurentPoly, ...]:
-    """Coefficients of prod_u 1/(1 - u w) up to w^N."""
-    series = [ONE] + [ZERO] * N
+    """Coefficients of prod_u 1/(1 - u w) up to w^N.
+
+    h_k is a sum of k factor monomials, so its exponents stay within
+    k * max|e|; that bound is checked for h_N before any key is built.
+    """
+    top = max((abs(e) for u in factors for _, e in u), default=0)
+    _checked(N * top)
+    series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(N)]
     for u in factors:
-        up = LaurentPoly.monomial(u)
-        # multiplying by 1/(1 - u w): new_k = old_k + u * new_{k-1}
-        for k in range(1, N + 1):
-            series[k] = series[k] + up * series[k - 1]
-    return tuple(series)
+        (shift,) = LaurentPoly.monomial(u)._terms
+        # multiplying by 1/(1 - u w): new_k = old_k + u * new_{k-1}, where
+        # u * new_{k-1} shifts every key by u's; no coefficient cancels
+        for prev, cur in zip(series, series[1:]):
+            get = cur.get
+            for key, c in prev.items():
+                key += shift
+                cur[key] = get(key, 0) + c
+    return tuple(LaurentPoly(terms, k * top) for k, terms in enumerate(series))
 
 
 def h_seq(spec: HSpec, N: int) -> list[LaurentPoly]:
@@ -97,9 +107,7 @@ def check_newton(spec: HSpec, N: int) -> bool:
     hs = h_seq(HSpec(spec.n, spec.m, "symmetric"), N)
     es = _e_seq(spec.m)
     for k in range(N + 1):
-        rhs = ZERO
-        for i in range(min(spec.m, k) + 1):
-            rhs = rhs + es[i] * hs[k - i]
+        rhs = dot((es[i], hs[k - i]) for i in range(min(spec.m, k) + 1))
         if hp[k] != rhs:
             return False
     return True

@@ -43,7 +43,7 @@ from .partitions import (
     partitions_of,
     subpartitions,
 )
-from .ring import ONE, ZERO, LaurentPoly, xvar, yvar, zvar
+from .ring import ONE, ZERO, LaurentPoly, dot, xvar, yvar, zvar
 from .series import HSpec, check_newton
 
 
@@ -304,7 +304,7 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                     xmove = range(1, k + 1) if n > k else ()
                     for s in range(m + 1):
                         zmove = range(1, s + 1) if m > s else ()
-                        rhs = ZERO
+                        pairs = []
                         rename = {xvar(i): xvar(n - k + i) for i in xmove}
                         rename.update({zvar(j): zvar(m - s + j) for j in zmove})
                         for eta in subpartitions(lam, big):
@@ -316,12 +316,12 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                                 continue
                             if rename:
                                 piece = piece.rename(rename)
-                            rhs = rhs + inner * piece
+                            pairs.append((inner, piece))
                         ses.check(
                             (lam.weight, tag, n, m, k, s),
                             f"{tag} lam={lam.parts} n={n} m={m} split k={k} s={s}",
                             lhs,
-                            rhs,
+                            dot(pairs),
                         )
 
 
@@ -340,7 +340,7 @@ def check_branching_odd_sp(ses: _Session, grid: Grid) -> None:
             big = lam.length
             # power collapse: one-variable skew pieces are single powers on
             # horizontal strips and vanish otherwise
-            rhs = ZERO
+            pairs = []
             for mu in subpartitions(lam, big):
                 piece = skew_det("sp", lam, mu.with_declared(big), 0, 1)
                 strip = interlaces(mu, lam)
@@ -356,12 +356,12 @@ def check_branching_odd_sp(ses: _Session, grid: Grid) -> None:
                     want,
                 )
                 if strip:
-                    rhs = rhs + universal_det("sp", mu.parts, n, 0) * want
+                    pairs.append((universal_det("sp", mu.parts, n, 0), want))
             ses.check(
                 (lam.weight, "power-sum", n),
                 f"power collapse lam={lam.parts} n={n}",
                 universal("sp", lam, n, 1),
-                rhs,
+                dot(pairs),
             )
 
 
@@ -386,16 +386,16 @@ def _cauchy_rhs(n: int, m: int, ycount: int, strict: bool, cap: int) -> LaurentP
     hs = series.h_seq(HSpec(n, m), cap)
     acc = _pair_product(ycount, strict, cap, yrank)
     for s in range(1, ycount + 1):
-        ys = sum((h * LaurentPoly.variable(yvar(s), d) for d, h in enumerate(hs)), ZERO)
+        ys = dot((h, LaurentPoly.variable(yvar(s), d)) for d, h in enumerate(hs))
         acc = acc.mul_truncated(ys, yrank, cap)
     return acc
 
 
 def _cauchy_lhs(family: str, n: int, m: int, ycount: int, cap: int) -> LaurentPoly:
-    acc = ZERO
-    for lam in _lams(cap, ycount):
-        acc = acc + universal(family, lam, n, m) * schur(lam, ycount)
-    return acc
+    return dot(
+        (universal(family, lam, n, m), schur(lam, ycount))
+        for lam in _lams(cap, ycount)
+    )
 
 
 def check_cauchy(ses: _Session, grid: Grid, family: str) -> None:
@@ -464,17 +464,16 @@ def check_transition_odd(ses: _Session, grid: Grid) -> None:
         for family, rows in (("sp", n + 1), ("o", n)):
             for lam in _lams(grid.max_weight, rows):
                 lp = lam.padded(rows)
-                rhs = ZERO
+                pairs = []
                 for eps in product((0, 1), repeat=rows):
                     seq = tuple(a - e for a, e in zip(lp, eps))
                     if _is_partition_seq(seq):
                         term = universal(family, Partition(seq), n + 1, 0).substitute(
                             {xvar(n + 1): z1}
                         )
-                        sign = -1 if sum(eps) % 2 else 1
-                        rhs = rhs + term * LaurentPoly.variable(
-                            zvar(1), -sum(eps)
-                        ) * sign
+                        d = sum(eps)
+                        zpow = LaurentPoly.monomial(((zvar(1), -d),), (-1) ** d)
+                        pairs.append((term, zpow))
                     else:
                         ses.check(
                             (lam.weight, f"{family}-drop", n, seq),
@@ -487,7 +486,7 @@ def check_transition_odd(ses: _Session, grid: Grid) -> None:
                     (lam.weight, family, n),
                     f"{family} transition lam={lam.parts} n={n}",
                     universal(family, lam, n, 1),
-                    rhs,
+                    dot(pairs),
                 )
 
 

@@ -26,6 +26,7 @@ from spochar.ring import (
     VarName,
     ZeroAssignedToLaurentVariable,
     det_of,
+    dot,
     var,
     xvar,
     yvar,
@@ -125,6 +126,16 @@ def test_evaluate_missing_assignment():
 def test_evaluate_zero_forbidden():
     with pytest.raises(ZeroAssignedToLaurentVariable):
         (X1 + X1I).evaluate({xvar(1): Fraction(0)})
+
+
+def test_evaluate_checks_every_variable_of_a_zero_term():
+    # x1 = 0 zeroes the term, but z1 comes after it and must still be checked
+    p = X1 * LaurentPoly.variable(zvar(1), -1)
+    with pytest.raises(ZeroAssignedToLaurentVariable):
+        p.evaluate({xvar(1): Fraction(0), zvar(1): Fraction(0)})
+    with pytest.raises(MissingAssignment):
+        p.evaluate({xvar(1): Fraction(0)})
+    assert p.evaluate({xvar(1): Fraction(0), zvar(1): Fraction(2)}) == 0
 
 
 def test_evaluate_constant_needs_nothing():
@@ -490,3 +501,44 @@ def test_product_at_the_slot_limit_raises():
     assert X1.substitute({xvar(1): edge}) == edge
     with pytest.raises(SlotOverflow):
         (X1 * X1).substitute({xvar(1): edge})
+
+
+# --- the fused sum of products, against a sum of separate products ---
+
+
+def canonical(poly):
+    return all(c and (type(c) is int or c.denominator != 1) for c in poly._terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(polys(), polys()), max_size=4), st.integers(0, 4))
+@example([], 0)
+@example([(ZERO, X1), (X1, ZERO), (ZERO, ZERO)], 0)
+@example([(X1 + Z1, X1I - Z1)], 1)
+def test_dot_is_the_sum_of_products(pairs, cancel):
+    # the first `cancel` pairs come back negated, so their products cancel
+    pairs = pairs + [(-a, b) for a, b in pairs[:cancel]]
+    want = sum((a * b for a, b in pairs), ZERO)
+    got = dot(iter(pairs))
+    assert got._terms == want._terms
+    assert got._bound == want._bound
+    assert canonical(got)
+
+
+def test_dot_returns_integral_fraction_sums_as_int():
+    half = LaurentPoly.constant(Fraction(1, 2))
+    third = LaurentPoly.constant(Fraction(1, 3))
+    got = dot([(half, X1), (X1, half), (third, Z1), (Z1 * 2, third)])
+    assert dict(got.items()) == {((xvar(1), 1),): 1, ((zvar(1), 1),): 1}
+    assert all(type(c) is int for c in got._terms.values())
+
+
+def test_dot_checks_the_bound_of_every_pair_like_mul():
+    edge = LaurentPoly.variable(xvar(1), HALF - 1)
+    assert dot([(edge, ONE), (edge, ZERO), (ZERO, edge)]) == edge
+    for other in (X1, X1I):
+        with pytest.raises(SlotOverflow):
+            edge * other
+        # the bound is per pair, so an earlier safe pair does not help
+        with pytest.raises(SlotOverflow):
+            dot([(edge, ONE), (edge, other)])

@@ -2,8 +2,19 @@
 
 from fractions import Fraction
 
-from spochar.ring import ONE, ZERO, LaurentPoly, xvar, yvar, zvar
-from spochar.series import HSpec, _e_seq, check_newton, h_seq, h_seq_y
+import pytest
+
+from spochar.ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, yvar, zvar
+from spochar.series import (
+    Z_MODES,
+    HSpec,
+    _e_seq,
+    _geom_factors,
+    _geom_product,
+    check_newton,
+    h_seq,
+    h_seq_y,
+)
 
 
 def test_h_single_inverted_pair():
@@ -87,7 +98,56 @@ def test_newton_identity_holds():
 
 
 def test_newton_needs_a_z_variable():
-    import pytest
-
     with pytest.raises(ValueError):
         check_newton(HSpec(3, 0, "plain"), 4)
+
+
+# --- the in-place h-table recurrence, against the ring-level one ---
+
+
+def ring_recurrence(factors, N):
+    """h-table built as the ring did before: series[k] += u * series[k-1]."""
+    series = [ONE] + [ZERO] * N
+    for u in factors:
+        up = LaurentPoly.monomial(u)
+        for k in range(1, N + 1):
+            series[k] = series[k] + up * series[k - 1]
+    return series
+
+
+def assert_same_table(got, want):
+    assert [h._terms for h in got] == [h._terms for h in want]
+    assert [h._bound for h in got] == [h._bound for h in want]
+
+
+@pytest.mark.parametrize("z_mode", Z_MODES)
+@pytest.mark.parametrize("m", range(3))
+@pytest.mark.parametrize("n", range(3))
+def test_h_seq_matches_the_ring_recurrence(n, m, z_mode):
+    spec = HSpec(n, m, z_mode)
+    for N in range(7):
+        got = h_seq(spec, N)
+        assert_same_table(got, ring_recurrence(_geom_factors(spec), N))
+        assert all(h._bound <= k for k, h in enumerate(got))
+
+
+def test_h_seq_y_matches_the_ring_recurrence():
+    for k in range(4):
+        for N in range(7):
+            factors = tuple(((yvar(i), 1),) for i in range(1, k + 1))
+            assert_same_table(h_seq_y(k, N), ring_recurrence(factors, N))
+
+
+def test_h_table_bound_scales_with_the_largest_exponent():
+    factors = (((xvar(1), 2),), ((zvar(1), -1),))
+    got = _geom_product(factors, 5)
+    assert_same_table(got, ring_recurrence(factors, 5))
+    assert [h._bound for h in got] == [2 * k for k in range(6)]
+
+
+def test_h_table_overflow_is_refused_before_building():
+    # a built table would hold 2^15 + 1 entries; the bound check comes first
+    with pytest.raises(SlotOverflow):
+        h_seq(HSpec(0, 1), 1 << 15)
+    with pytest.raises(SlotOverflow):
+        _geom_product((((xvar(1), 2),),), 1 << 14)
