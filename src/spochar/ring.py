@@ -344,9 +344,9 @@ class LaurentPoly:
         )
 
     def require_integer(self) -> "LaurentPoly":
-        for m, c in self.items():
+        for k, c in self._terms.items():
             if not isinstance(c, int):
-                raise NonIntegerCoefficient(f"coefficient {c} of {_format_term(m, 1)}")
+                raise NonIntegerCoefficient(f"coefficient {c} of {_format_term(_decode(k), 1)}")
         return self
 
     # -- rendering ---------------------------------------------------------

@@ -63,7 +63,7 @@ def test_criterion_05_branching_sums():
 
 def test_criterion_06_cauchy_identities():
     # truncated coefficientwise comparison at degree 5 for n <= 2, m <= 1;
-    # the orthogonal kernel variant must be resolved and reported
+    # the orthogonal kernel (k <= l) must be reported for every (n, m)
     grid = Grid(n_range=(0, 2), m_range=(0, 1), degree_cap=5)
     reports = _gate(
         6,
@@ -72,9 +72,9 @@ def test_criterion_06_cauchy_identities():
         grid,
     )
     o_report = [r for r in reports if r.check_name == "cauchy_o"][0]
-    assert any("non-strict" in note or "strict" in note for note in o_report.notes), (
-        "orthogonal kernel variant was not reported"
-    )
+    assert o_report.notes == [
+        f"n={n} m={m}: non-strict pair product (k<=l) matches" for n in range(3) for m in range(2)
+    ], "orthogonal kernel was not reported for every (n, m)"
 
 
 def test_criterion_07_chain_weight_sums():

@@ -182,6 +182,17 @@ def test_require_integer():
         LaurentPoly.constant(Fraction(1, 2)).require_integer()
 
 
+def test_require_integer_decodes_only_the_offending_key():
+    ok = X1 * Z1 + X1I
+    ring._decode.cache_clear()
+    ok.require_integer()
+    info = ring._decode.cache_info()
+    assert info.hits + info.misses == 0
+    half = X1 + LaurentPoly.constant(Fraction(1, 2)) * Z1
+    with pytest.raises(NonIntegerCoefficient, match=r"^coefficient 1/2 of z1$"):
+        half.require_integer()
+
+
 def test_mul_truncated_agrees_below_cap():
     a = X1 + Z1
     b = X1I + Z1

@@ -203,6 +203,58 @@ def test_cauchy_o_records_variant_note():
     assert any("non-strict" in note for note in rep.notes)
 
 
+def test_cauchy_o_fails_against_the_strict_kernel(monkeypatch):
+    # the orthogonal identity holds for the non-strict kernel only: handing it
+    # the strict product (and the symplectic one the non-strict) must fail
+    real = verify._pair_product
+
+    def flipped(count, strict, cap, yrank):
+        return real(count, not strict, cap, yrank)
+
+    monkeypatch.setattr(verify, "_pair_product", flipped)
+    rep = run_suite("cauchy_o", SMALL)
+    assert [d for d, _, _ in rep.failures] == ["o n=0 m=1 D=3", "o n=1 m=0 D=3", "o n=1 m=1 D=3"]
+    assert rep.instances_run == 4
+    assert rep.notes == ["n=0 m=0: non-strict pair product (k<=l) matches"]
+    assert not run_suite("cauchy_sp", SMALL).passed
+
+
+def test_broken_reductions_report_the_bialternant_descriptions(broken_universal):
+    rep = run_suite("reductions", Grid(max_weight=3))
+    descs = [d for d, _, _ in rep.failures]
+    assert "o_odd z=1 lam=(2, 1) n=2" in descs
+    assert "o_odd z=-1 lam=(2, 1) n=2" in descs
+
+
+def test_gt_count_failure_shows_both_counts(monkeypatch):
+    real = verify.gt_chains
+    monkeypatch.setattr(verify, "gt_chains", lambda lam, n: list(real(lam, n))[1:])
+    rep = run_suite("gt_sum", Grid(n_range=(1, 1), max_weight=1))
+    assert rep.instances_run == 4
+    counts = [f for f in rep.failures if f[0].startswith("gt count")]
+    assert counts == [("gt count lam=() n=1", "0", "1"), ("gt count lam=(1,) n=1", "2", "3")]
+
+
+def test_degree_cap_reaches_newton_and_cauchy(monkeypatch):
+    seen = []
+    real_newton, real_rhs = verify.check_newton, verify._cauchy_rhs
+
+    def newton(spec, N):
+        seen.append(("newton", N))
+        return real_newton(spec, N)
+
+    def rhs(n, m, ycount, strict, cap):
+        seen.append(("cauchy", cap))
+        return real_rhs(n, m, ycount, strict, cap)
+
+    monkeypatch.setattr(verify, "check_newton", newton)
+    monkeypatch.setattr(verify, "_cauchy_rhs", rhs)
+    grid = Grid(n_range=(0, 1), m_range=(1, 1), degree_cap=10)
+    assert run_suite("newton", grid).passed
+    assert run_suite("cauchy_sp_odd", grid).passed
+    assert seen == [("newton", 12)] * 2 + [("cauchy", 10)] * 2
+
+
 # Two broken relation tables: a wrong index shift in the plain symplectic
 # relation, and the mixed symplectic relation flagged as plain, which drops
 # its delta term (and leaves its second word's families unswapped).
