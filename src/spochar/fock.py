@@ -15,16 +15,21 @@ symplectic mode Y_k is the w^{-k}-coefficient of
 and the other three kinds follow from it.  The involution omega: a_n -> -a_n
 (so omega p_mu = (-1)^len(mu) p_mu) maps Y(w) onto the dual W*(w), whose mode
 W*_k is its w^k-coefficient.  W = (1 - w^2) Y and Y* = (1 - w^2) W* keep the
-targets of Y and W*.  So only Y rows are built from the series, and the
-other three kinds follow by three rules:
+targets of Y and W*, so omega maps W(w) onto Y*(w) as well.  Only Y rows
+are built from the series, and the other three kinds follow by two rules:
 
-    W*_k = omega Y_{-k} omega,   W_k = Y_k - Y_{k+2},   Y*_k = W*_k - W*_{k-2}.
+    W_k = Y_k - Y_{k+2},   X*_k = omega X_{-k} omega  (W* from Y, Y* from W).
 
-The W*_k row of p_mu is the Y_{-k} row with slot nu multiplied by
+The X*_k row of p_mu is the X_{-k} row with slot nu multiplied by
 (-1)^(len(mu) + len(nu)) (`twist`): every |coefficient| is unchanged, so the
-Y row's bound still holds, and the terms are the same, so the denominator is
-too.  A W or Y* row is a combination of two rows, bounded as in Packed
-rows.  The half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z))
+X row's bound still holds, and the terms are the same, so the denominator is
+too.  A W row is a combination of two Y rows, bounded as in Packed rows.
+`compose` twists once per composition instead: for a starred outer kind it
+signs each inner coefficient q_nu by (-1)^len(nu), sums the plain rows at
+-k, and twists the sum, so a starred row is packed and cached only as an
+inner row or for a bra, never as an outer row.  By linearity the sum, its
+bound and its denominator are those of the starred rows' sum.
+The half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z))
 is the only place the character variables enter: it maps a ket to
 Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
 contracts those against bra coefficients.
@@ -56,15 +61,17 @@ bound of every packed value and raises `SlotOverflow` once it reaches
 2^(B-1), so no verdict is ever read from an integer that could hide a nonzero
 slot.  Nothing is modular or sampled.
 
-The slot width climbs a ladder of two rungs, `SLOT_WIDTHS` = (64, 128).
-Packing starts at 64 bits, where every multiply-add works on half the bits.
-When `certify` raises below the top rung, the outermost call holding packed
-values (`verify.run_suite`, `apply_mode`, `ket`, `matrix_element`) empties
-the packed caches, moves to 128 bits and reruns from the start, so no value
-packed at one width meets one packed at another; at 128 bits the overflow is
-final.  The largest bound in the commutation suite is 63 bits on the
-weight-2 benchmark grid, which never widens, and 99 bits on the weight-6
-acceptance grid, which runs at 128 bits after a short start at 64.
+The slot width climbs a ladder of three rungs, `SLOT_WIDTHS` = (64, 128,
+256).  Packing starts at 64 bits, where every multiply-add works on half
+the bits.  When `certify` raises below the top rung, the outermost call
+holding packed values (`verify.run_suite`, `apply_mode`, `ket`,
+`matrix_element`) empties the packed caches, moves to the next rung and
+reruns from the start, so no value packed at one width meets one packed at
+another; at 256 bits the overflow is final.  The largest bound in the
+commutation suite is 63 bits on the weight-2 benchmark grid, which never
+widens, and 99 bits on the weight-6 acceptance grid, which runs at 128 bits
+after a short start at 64.  Weight 4 with degree_cap 10 passes 128 bits and
+runs at 256.
 
 Everything is exact and nothing is truncated: the shift is a finite sum over
 sub-multisets, and extracting one power of w bounds the weight the creation
@@ -94,6 +101,7 @@ class ZeroModeRequested(ValueError):
 MODE_KINDS = ("Y", "Ystar", "W", "Wstar")
 _STAR_OF = {"sp": "Ystar", "o": "Wstar"}
 _PLAIN_OF = {"sp": "Y", "o": "W"}
+_OMEGA_OF = {"Wstar": "Y", "Ystar": "W"}  # X*_k = omega X_{-k} omega
 
 
 def vacuum() -> FockVector:
@@ -102,7 +110,7 @@ def vacuum() -> FockVector:
 
 # Bits per packed slot, each a multiple of 8 (`unpack` reads bytes): packing
 # starts at the narrowest rung and `_widening` moves up once a bound needs it.
-SLOT_WIDTHS = (64, 128)
+SLOT_WIDTHS = (64, 128, 256)
 SLOT_BITS = SLOT_WIDTHS[0]
 
 # Basis ids by weight: all partitions of weight 0, then of weight 1, ..., each
@@ -310,7 +318,7 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, 
     """X_k p_mu as a packed row (value, bound, denominator).
 
     A W*, W or Y* row derives from cached rows by the module docstring's
-    three rules.  A Y row is built from the series.  Its annihilation stage
+    two rules.  A Y row is built from the series.  Its annihilation stage
     is integral (see `_splits`), so the one shared denominator zl comes from
     the creation exponential alone: each split (rest, q) that leaves
     w-degree c for the creation exponential adds q * (zl / zlcm(c)) times the
@@ -319,12 +327,11 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, 
     slots the row's bound is the largest per-weight bound (see the module
     docstring).
     """
-    if kind == "Wstar":  # W*_k = omega Y_{-k} omega, and omega p_mu = (-1)^len(mu) p_mu
-        value, bound, den = _mode_row_scaled("Y", -k, mu)
+    if kind in _OMEGA_OF:  # X*_k = omega X_{-k} omega, and omega p_mu = (-1)^len(mu) p_mu
+        value, bound, den = _mode_row_scaled(_OMEGA_OF[kind], -k, mu)
         return (-twist(value) if len(mu) % 2 else twist(value)), bound, den
-    if kind != "Y":  # W_k = Y_k - Y_{k+2}, Y*_k = W*_k - W*_{k-2}
-        source, step = ("Y", 2) if kind == "W" else ("Wstar", -2)
-        rows = [_mode_row_scaled(source, j, mu) for j in (k, k + step)]
+    if kind == "W":  # W_k = Y_k - Y_{k+2}
+        rows = [_mode_row_scaled("Y", j, mu) for j in (k, k + 2)]
         den = lcm(*(d for *_, d in rows))
         return (*combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
     target = -k  # Y_k is the w^{-k} coefficient of Y(w)
@@ -370,10 +377,11 @@ def _use_width(bits: int) -> None:
 
 def _widening(fn):
     """Run `fn` as the outermost holder of packed values: when a Fock slot
-    overflows below the widest rung of SLOT_WIDTHS, move to the next rung and
-    rerun the whole call.  A call made while another holder runs is passed
-    through, so that holder reruns instead.  At the widest rung the overflow
-    is final, and a Laurent-ring exponent overflow is never caught."""
+    overflows below the widest rung of SLOT_WIDTHS (64, 128, 256), move to
+    the next rung and rerun the whole call, as many times as it overflows.
+    A call made while another holder runs is passed through, so that holder
+    reruns instead.  At the widest rung the overflow is final, and a
+    Laurent-ring exponent overflow is never caught."""
 
     @wraps(fn)
     def run(*args, **kwargs):
@@ -415,13 +423,20 @@ def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
 
 def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
     """X_out X_in p_mu as a packed row (value, bound, denominator): the inner
-    row is unpacked, and the outer rows are summed as packed ints."""
+    row is unpacked, and the outer rows are summed as packed ints.  A starred
+    outer kind is twisted once, after the sum (see the module docstring):
+
+        sum_nu q_nu X*_k p_nu = omega sum_nu (-1)^len(nu) q_nu X_{-k} p_nu."""
     _check_kinds(kind_out, kind_in)  # first: an empty inner row reads no outer row
     inner, d_in = _row_entries(kind_in, k_in, mu)
+    star = kind_out in _OMEGA_OF
+    if star:
+        kind_out, k_out = _OMEGA_OF[kind_out], -k_out
+        inner = [(nu, -qi if len(nu) % 2 else qi) for nu, qi in inner]
     outer = [_mode_row_scaled(kind_out, k_out, nu) for nu, _ in inner]
     den = lcm(*[s for _, _, s in outer])
     value, bound = combine((qi * (den // s), v, b) for (_, qi), (v, b, s) in zip(inner, outer))
-    return value, bound, d_in * den
+    return (twist(value) if star else value), bound, d_in * den
 
 
 @lru_cache(maxsize=None)

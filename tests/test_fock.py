@@ -6,6 +6,8 @@ so the two are compared directly here on a small sample.
 
 import hashlib
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -426,8 +428,8 @@ def _series_rows(kind, mu, top):
 
 
 def test_mode_rows_match_the_series():
-    # wider than the pinned k range, so W_k reads Y_{k+2} and Y*_k reads
-    # W*_{k-2} past its edge
+    # wider than the pinned k range, so W_k reads Y_{k+2} past its edge, and
+    # Y*_k reads W_{-k} and with it Y_{2-k}
     top = 7
     for kind, (_, _, _, sign) in SERIES.items():
         for w in range(5):
@@ -461,13 +463,33 @@ def test_compose_rejects_an_unknown_kind(act):
 
 
 def test_compose_matches_apply_mode_twice():
-    for kind_out, kind_in in (("Y", "Y"), ("Y", "Ystar"), ("W", "Wstar"), ("Wstar", "W")):
+    pairs = (
+        ("Y", "Y"), ("Y", "Ystar"), ("W", "Wstar"), ("Wstar", "W"),
+        ("Ystar", "Ystar"), ("Ystar", "Y"), ("Wstar", "Wstar"),
+    )
+    for kind_out, kind_in in pairs:
         for k_out, k_in in ((-2, 1), (0, -1), (1, 2), (-1, -1)):
             for mu in ((), (1,), (2, 1), (1, 1, 1)):
                 value, _, den = fock.compose(kind_out, k_out, kind_in, k_in, mu)
                 got = {fock.PARTS[i]: Fraction(v, den) for i, v in fock.unpack(value)}
                 want = apply_mode(kind_out, k_out, apply_mode(kind_in, k_in, {mu: 1}))
                 assert got == want, (kind_out, k_out, kind_in, k_in, mu)
+
+
+def test_compose_equals_the_sum_of_cached_outer_rows():
+    # a starred outer kind is summed as its plain kind and twisted once; the
+    # result must be the very ints of summing the starred rows themselves
+    for kind_out, kind_in in product(MODE_KINDS, repeat=2):
+        for k_out, k_in in product(range(-3, 4), repeat=2):
+            for mu in (mu for w in range(4) for mu in partitions_of(w)):
+                inner, d_in = fock._row_entries(kind_in, k_in, mu)
+                outer = [fock._mode_row_scaled(kind_out, k_out, nu) for nu, _ in inner]
+                den = lcm(*[s for _, _, s in outer])
+                value, bound = fock.combine(
+                    (qi * (den // s), v, b) for (_, qi), (v, b, s) in zip(inner, outer)
+                )
+                got = fock.compose(kind_out, k_out, kind_in, k_in, mu)
+                assert got == (value, bound, d_in * den), (kind_out, k_out, kind_in, k_in, mu)
 
 
 # --- packed rows ---
@@ -565,6 +587,38 @@ def test_widening_never_changes_a_result(monkeypatch):
             mp.setattr(fock, "SLOT_WIDTHS", (128,))
             clear_caches()
             assert call() == widened, name
+
+
+def test_widening_climbs_every_rung_in_one_call(monkeypatch):
+    # 16 and 32 bits both overflow at weight 1, so one call climbs two rungs
+    # and must return what a run that starts at 128 bits returns
+    from spochar.verify import Grid, run_suite
+
+    def run(widths):
+        with monkeypatch.context() as mp:
+            mp.setattr(fock, "SLOT_WIDTHS", widths)
+            clear_caches()
+            rungs = [fock.SLOT_BITS]
+            use_width = fock._use_width
+            mp.setattr(fock, "_use_width", lambda bits: (rungs.append(bits), use_width(bits)))
+            report = run_suite("commutation", Grid(max_weight=1)).to_json()
+        clear_caches()
+        return rungs, report
+
+    rungs, climbed = run((16, 32, 128))
+    assert rungs == [16, 32, 128]
+    assert run((128,)) == ([128], climbed)
+
+
+def test_the_ladder_tops_out_at_256_bits():
+    # a 200-bit bound overflows 64- and 128-bit slots and is certified at
+    # 256 bits; a 256-bit bound is final there
+    clear_caches()
+    certified = fock._widening(lambda: (fock.certify(1 << 199), fock.SLOT_BITS))
+    assert certified() == (1 << 199, 256)
+    with pytest.raises(fock.SlotOverflow, match="256-bit"):
+        fock._widening(fock.certify)(1 << 255)
+    clear_caches()
 
 
 # --- the omega twist of packed values ---

@@ -141,6 +141,16 @@ def test_clear_caches_empties_every_cache_and_keeps_reports():
     assert [run_suite(name, SMALL).to_json() for name in names] == first
 
 
+def test_commutation_caches_no_starred_outer_row():
+    # a starred outer row is one twist of a sum of plain rows, so a starred
+    # row is cached only as an inner row (5839 rows on the benchmark grid
+    # when every starred outer row was cached as well)
+    clear_caches()
+    assert run_suite("commutation", Grid(max_weight=2)).passed
+    assert fock._mode_row_scaled.cache_info().currsize == 3052
+    assert fock.SLOT_BITS == 64
+
+
 def test_session_failure_ordering():
     ses = _Session("demo", SMALL)
     x = LaurentPoly.variable(xvar(1))
