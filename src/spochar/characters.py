@@ -75,20 +75,23 @@ def _jt_det(
     N = max(max(a - i for i, a in enumerate(alpha, 1)) + col, 0)
     hs = h_seq(HSpec(n, m, "plain"), N)
     if kind == "sp_hprime":
-        hs = [_h(hs, k) - _h(hs, k - 2) for k in range(N + 1)]
+        hs = [hs[k] - hs[k - 2] if k > 1 else hs[k] for k in range(N + 1)]
         kind = "sp"
+    # entry (i, j) is h_{a_i - b_j + j} plus or minus h_{a_i - j + c} from
+    # column `first` on, with a_i = alpha_i - i; a negative index reads zero
+    sp = kind == "sp"
+    first, c = (l + 2, 2 * l + 2) if sp else (l + 1, 2 * l)
     rows = []
     for i in range(1, dim + 1):
-        a = alpha[i - 1]
+        a = alpha[i - 1] - i
         row = []
         for j in range(1, dim + 1):
-            e = _h(hs, a - beta[j - 1] - i + j)
-            if kind == "sp":
-                if j > l + 1:
-                    e = e + _h(hs, a - i - j + 2 * l + 2)
-            else:
-                if j > l:
-                    e = e - _h(hs, a - i - j + 2 * l)
+            k = a - beta[j - 1] + j
+            e = hs[k] if k >= 0 else ZERO
+            k = a - j + c
+            if j >= first and k >= 0:
+                h = hs[k] if sp else -hs[k]
+                e = e + h if e else h
             row.append(e)
         rows.append(row)
     return det_of(rows)

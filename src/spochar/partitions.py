@@ -114,8 +114,13 @@ def enumerate_partitions(max_len: int, max_weight: int) -> Iterator[Partition]:
                 yield Partition(parts)
 
 
-def subpartitions(lam: Partition, max_len: int) -> Iterator[Partition]:
-    """All mu contained in lam with at most `max_len` parts, deterministically."""
+@lru_cache(maxsize=None)
+def subpartitions(lam: Partition, max_len: int) -> tuple[Partition, ...]:
+    """All mu contained in lam with at most `max_len` parts, deterministically.
+
+    The tuple is cached; partition equality ignores the declared length, so
+    shapes that differ only in it share one tuple.
+    """
     bound = lam.padded(max(max_len, lam.length))
 
     def rec(i: int, prev: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -128,8 +133,9 @@ def subpartitions(lam: Partition, max_len: int) -> Iterator[Partition]:
 
     # every raw tuple has length max_len, so dropping its (trailing) zeros
     # keeps distinct tuples distinct
-    for raw in rec(0, bound[0] if max_len else 0, ()):
-        yield Partition(p for p in raw if p)
+    return tuple(
+        Partition(p for p in raw if p) for raw in rec(0, bound[0] if max_len else 0, ())
+    )
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,12 @@ def _checked(bound: int) -> int:
     return bound
 
 
+def _var_shift(v: VarName) -> int:
+    return SLOT_BITS * (len(FAMILY_NAMES) * (v.index - 1) + v.rank)
+
+
 def _var_key(v: VarName) -> int:
-    return 1 << (SLOT_BITS * (len(FAMILY_NAMES) * (v.index - 1) + v.rank))
+    return 1 << _var_shift(v)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -339,6 +343,37 @@ class LaurentPoly:
         return LaurentPoly({k: _norm_coeff(c) for k, c in out.items()}, bound)
 
     def rename(self, mapping: Mapping[VarName, VarName]) -> "LaurentPoly":
+        """Replace each variable of `mapping` by its image.
+
+        When the images are distinct and none of them is a variable of this
+        polynomial that the mapping leaves in place, no two exponents meet in
+        one slot: every key moves by sum_v e_v * (key(image) - key(v)) and the
+        bound is kept.  Any other mapping, where exponents may merge, goes
+        through `substitute`, which adds them and raises SlotOverflow as for
+        any substitution.
+        """
+        images = set(mapping.values())
+        if len(images) == len(mapping):
+            half, mask = 1 << (SLOT_BITS - 1), (1 << SLOT_BITS) - 1
+            moves = [(_var_shift(v), _var_key(b) - _var_key(v)) for v, b in mapping.items()]
+            # an image the mapping leaves in place must be absent from every term
+            kept = [_var_shift(w) for w in images if w not in mapping]
+            top = max([s for s, _ in moves] + kept, default=-SLOT_BITS) + SLOT_BITS
+            # with 2^(B-1) added to every slot below `top`, each digit there
+            # reads off the biased key with no borrows
+            bias = half * ((1 << top) - 1) // mask
+            guard = sum(mask << s for s in kept)
+            empty = bias & guard
+            out = {}
+            for k, c in self._terms.items():
+                biased = k + bias
+                if biased & guard != empty:
+                    break
+                for shift, delta in moves:
+                    k += (((biased >> shift) & mask) - half) * delta
+                out[k] = c
+            else:
+                return LaurentPoly(out, self._bound)
         return self.substitute(
             {a: LaurentPoly.variable(b) for a, b in mapping.items()}
         )
@@ -438,6 +473,12 @@ def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         raise NonSquareMatrix(f"{n} x {cols}")
     if n > DET_DIM_CAP:
         raise DimensionCapExceeded(f"dimension {n} > cap {DET_DIM_CAP}")
+    # the one product sum the expansion below would make
+    if n == 1:
+        return dot(((rows[0][0], ONE),))
+    if n == 2:
+        (a, b), (c, d) = rows
+        return dot(((a, d), (b, -c)))
     # expand sparse rows first; track the row-permutation sign
     order = sorted(range(n), key=lambda i: sum(1 for e in rows[i] if e))
     sign = _permutation_sign(order)

@@ -38,6 +38,7 @@ class HSpec:
             raise ValueError(f"z_mode must be one of {Z_MODES}")
 
 
+@lru_cache(maxsize=None)
 def _geom_factors(spec: HSpec) -> tuple[Monomial, ...]:
     out: list[Monomial] = []
     for i in range(1, spec.n + 1):

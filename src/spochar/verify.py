@@ -289,23 +289,29 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
     # split 1|1.
     for n in n_vals:
         for m in m_vals:
+            # the skew factor's variables move to the top of each block; a
+            # block it takes whole keeps its names
+            renames = {
+                (k, s): {
+                    **{xvar(i): xvar(n - k + i) for i in range(1, k + 1) if n > k},
+                    **{zvar(j): zvar(m - s + j) for j in range(1, s + 1) if m > s},
+                }
+                for k in range(n + 1)
+                for s in range(m + 1)
+            }
             for lam in _lams(grid.max_weight, n + m):
                 lhs = universal(fam, lam, n, m)
                 big = lam.length
+                etas = [(eta, eta.with_declared(big)) for eta in subpartitions(lam, big)]
                 for k in range(n + 1):
-                    # the skew factor's variables move to the top of each
-                    # block; a block it takes whole keeps its names
-                    xmove = range(1, k + 1) if n > k else ()
                     for s in range(m + 1):
-                        zmove = range(1, s + 1) if m > s else ()
                         pairs = []
-                        rename = {xvar(i): xvar(n - k + i) for i in xmove}
-                        rename.update({zvar(j): zvar(m - s + j) for j in zmove})
-                        for eta in subpartitions(lam, big):
+                        rename = renames[k, s]
+                        for eta, padded in etas:
                             inner = universal_det(fam, eta.parts, n - k, m - s)
                             if not inner:
                                 continue
-                            piece = skew_det(fam, lam, eta.with_declared(big), k, s)
+                            piece = skew_det(fam, lam, padded, k, s)
                             if not piece:
                                 continue
                             if rename:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spochar import clear_caches
 from spochar.partitions import (
     Partition,
     PartitionTooLong,
@@ -158,6 +159,42 @@ def test_subpartitions_matches_containment():
 def test_subpartitions_length_cut():
     lam = Partition((1, 1, 1))
     assert set(p.parts for p in subpartitions(lam, 1)) == {(), (1,)}
+
+
+def subpartitions_in_order(lam, max_len):
+    """Oracle for the order: row by row, each part from its largest value
+    down to zero, trailing zeros dropped."""
+    bound = lam.padded(max(max_len, lam.length))
+
+    def rec(i, prev, acc):
+        if i == max_len:
+            yield acc
+            return
+        for p in range(min(bound[i], prev), -1, -1):
+            yield from rec(i + 1, p, acc + (p,))
+
+    for raw in rec(0, bound[0] if max_len else 0, ()):
+        yield tuple(p for p in raw if p)
+
+
+def test_subpartitions_is_one_cached_tuple_in_a_fixed_order():
+    for lam in enumerate_partitions(6, 6):
+        for max_len in range(6):
+            subs = subpartitions(lam, max_len)
+            assert type(subs) is tuple
+            assert [mu.parts for mu in subs] == list(subpartitions_in_order(lam, max_len))
+            padded = lam.with_declared(lam.length + 2)
+            assert subpartitions(padded, max_len) is subs
+
+
+def test_clear_caches_empties_the_subpartitions_cache():
+    lam = Partition((2, 1))
+    first = subpartitions(lam, 2)
+    assert subpartitions.cache_info().currsize > 0
+    clear_caches()
+    assert subpartitions.cache_info().currsize == 0
+    again = subpartitions(lam, 2)
+    assert again == first and again is not first
 
 
 # --- triangular chains ---

@@ -166,6 +166,75 @@ def test_rename_respects_negative_exponents():
     assert q == LaurentPoly.variable(zvar(2), -1)
 
 
+def _block_moves():
+    """The renames of the verify suites: each branching split moves
+    x_1..x_k to x_{n-k+1}..x_n and z_1..z_s to z_{m-s+1}..z_m (n <= 3,
+    m <= 2), and `reductions` swaps z_j and z_{j+1}."""
+    for n in range(4):
+        for m in range(3):
+            for k in range(n + 1):
+                for s in range(m + 1):
+                    mapping = {xvar(i): xvar(n - k + i) for i in range(1, k + 1) if n > k}
+                    mapping.update({zvar(j): zvar(m - s + j) for j in range(1, s + 1) if m > s})
+                    if mapping:
+                        # the skew piece lives on the variables that move
+                        yield mapping, [xvar(i) for i in range(1, k + 1)] + [
+                            zvar(j) for j in range(1, s + 1)
+                        ]
+    for n, m in ((0, 2), (2, 2), (1, 3)):
+        for j in range(1, m):
+            yield {zvar(j): zvar(j + 1), zvar(j + 1): zvar(j)}, [
+                xvar(i) for i in range(1, n + 1)
+            ] + [zvar(i) for i in range(1, m + 1)]
+
+
+def test_block_rename_moves_keys_without_substitute(monkeypatch):
+    substitute = LaurentPoly.substitute
+    calls = []
+
+    def counted(self, mapping):
+        calls.append(mapping)
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(LaurentPoly, "substitute", counted)
+    for mapping, present in _block_moves():
+        # every variable with positive and negative exponents, and a
+        # Fraction coefficient
+        poly = ONE
+        for v in present:
+            step = LaurentPoly.variable(v, 2) + LaurentPoly.variable(v, -3)
+            poly = poly * (step + LaurentPoly.constant(Fraction(1, 2)))
+        want = substitute(poly, {a: LaurentPoly.variable(b) for a, b in mapping.items()})
+        got = poly.rename(mapping)
+        assert calls == []
+        assert list(got._terms.items()) == list(want._terms.items()), mapping
+        # no two exponents meet, so the bound is kept; `substitute` cannot
+        # see that and doubles it for an image outside the mapping
+        assert got._bound == poly._bound <= want._bound
+        if set(mapping.values()) == set(mapping):
+            assert got._bound == want._bound
+
+
+def test_rename_falls_back_to_substitute_where_exponents_merge(monkeypatch):
+    substitute = LaurentPoly.substitute
+    calls = []
+
+    def counted(self, mapping):
+        calls.append(mapping)
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(LaurentPoly, "substitute", counted)
+    X2, X3 = LaurentPoly.variable(xvar(2)), LaurentPoly.variable(xvar(3))
+    # x2 is an image and stays in place
+    assert (X1 * X2 + X3).rename({xvar(1): xvar(2)}) == X2 * X2 + X3
+    # two variables onto one
+    assert (X1 + X2 * X2).rename({xvar(1): xvar(3), xvar(2): xvar(3)}) == X3 + X3 * X3
+    assert len(calls) == 2
+    # an image in place but absent from the polynomial moves keys
+    assert (X1 + X3).rename({xvar(1): xvar(2)}) == X2 + X3
+    assert len(calls) == 2
+
+
 def test_substitute_single_term_targets():
     # targets must be units (one term), so negative exponents stay meaningful
     img = LaurentPoly.constant(Fraction(2)) * LaurentPoly.variable(zvar(1), -1)
@@ -228,6 +297,44 @@ def test_det_rejects_ragged_rows():
 def test_det_rejects_non_square():
     with pytest.raises(NonSquareMatrix):
         det_of([[ONE, ONE]])
+
+
+def test_det_small_dimensions_keep_the_error_order():
+    # empty before ragged before non-square, as at every dimension
+    for bad, err in (
+        ([], "dimensions must be positive"),
+        ([[]], "dimensions must be positive"),
+        ([[], [ONE]], "dimensions must be positive"),
+        ([[ONE], [ONE, ONE]], "ragged"),
+        ([[ONE, ONE], [ONE]], "ragged"),
+    ):
+        with pytest.raises(ValueError, match=err):
+            det_of(bad)
+    for bad in ([[ONE, ONE]], [[ONE], [ONE]], [[ONE, ONE]] * 3):
+        with pytest.raises(NonSquareMatrix):
+            det_of(bad)
+
+
+def test_det_small_dimensions_match_leibniz():
+    half = LaurentPoly.constant(Fraction(1, 2))
+    pool = [
+        ZERO,
+        ONE,
+        half * X1,
+        LaurentPoly.constant(Fraction(2)) * X1I + Z1,
+        half * Z1 - X1 * X1,
+    ]
+    for a in pool:
+        got = det_of([[a]])
+        assert got == a and got._bound == a._bound
+    for a, b, c, d in itertools.product(pool, repeat=4):
+        got = det_of([[a, b], [c, d]])
+        assert got == leibniz_det([[a, b], [c, d]])
+        assert canonical(got)
+        # the bound of the expansion's one product sum
+        assert got._bound == max(
+            [p._bound + q._bound for p, q in ((a, d), (b, c)) if p and q], default=0
+        )
 
 
 def test_det_respects_cap():
