@@ -61,6 +61,17 @@ bound of every packed value and raises `SlotOverflow` once it reaches
 2^(B-1), so no verdict is ever read from an integer that could hide a nonzero
 slot.  Nothing is modular or sampled.
 
+Y rows.  The annihilation stage of Y(w) turns p_mu into a sum of terms
+q w^p p_rest, one per split (kappa, rest, c) of `_splits` and power w^p of
+c_kappa, which `_annihilation_terms` caches per mu sorted by p.  A term
+reaches w^{-k} only through w-degree d = -k - p >= 0 of the creation
+exponential, so Y_k p_mu reads the prefix p <= -k, found by `bisect`.
+Degree d of the creation exponential has the denominator zlcm(d), the lcm of
+z_lambda over lambda |- d.  Adding a part 1 to lambda |- d gives a partition
+of d + 1 whose z is a multiple of z_lambda, so zlcm(d) divides zlcm(d + 1),
+and the lcm over the prefix is the zlcm of its largest degree: -k minus the
+first power.
+
 The slot width climbs a ladder of three rungs, `SLOT_WIDTHS` = (64, 128,
 256).  Packing starts at 64 bits, where every multiply-add works on half
 the bits.  When `certify` raises below the top rung, the outermost call
@@ -80,6 +91,7 @@ exponential adds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import product
@@ -277,16 +289,34 @@ def _splits(rho: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def _annihilation_wpoly(kappa: tuple[int, ...]):
-    """prod_{r in kappa} -(w^r + w^-r), Y(w)'s c_kappa, as ((power, int), ...).
+    """prod_{r in kappa} -(w^r + w^-r), Y(w)'s c_kappa, as ((power, int), ...)
+    by ascending power.
 
-    Each choice of signs s gives the term (-1)^len(kappa) w^(sum s*r); all
-    terms share that sign, so the expansion only counts powers."""
-    sign = (-1) ** len(kappa)
-    out: dict[int, int] = {}
-    for signs in product((1, -1), repeat=len(kappa)):
-        p = sum(s * r for s, r in zip(signs, kappa))
-        out[p] = out.get(p, 0) + sign
+    All terms share the sign (-1)^len(kappa), and a part r of multiplicity m
+    contributes (w^r + w^-r)^m = sum_j C(m, j) w^(r(2j - m)), so the product
+    is one convolution per distinct part."""
+    out = {0: (-1) ** len(kappa)}
+    for r in set(kappa):
+        m = kappa.count(r)
+        step = {r * (2 * j - m): comb(m, j) for j in range(m + 1)}
+        conv: dict[int, int] = {}
+        for p, q in out.items():
+            for s, b in step.items():
+                conv[p + s] = conv.get(p + s, 0) + q * b
+        out = conv
     return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _annihilation_terms(mu: tuple[int, ...]):
+    """Y(w)'s annihilation stage on p_mu: one term (p, rest, c * q) per split
+    (kappa, rest, c) and power w^p of c_kappa, sorted by p and held as three
+    parallel tuples (powers, rests, coefficients), so `bisect` reads the
+    powers and the rests stay shared with `_splits`."""
+    terms = sorted(
+        (p, rest, c * q) for kappa, rest, c in _splits(mu) for p, q in _annihilation_wpoly(kappa)
+    )
+    return tuple(zip(*terms))  # never empty: kappa = () gives the term (0, mu, 1)
 
 
 @lru_cache(maxsize=None)
@@ -296,21 +326,29 @@ def _zlcm(c: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _creation_coeffs(c: int) -> tuple[int, ...]:
+    """zlcm(c)/z_parts for each partition of c, in `partitions_of` order."""
+    zc = _zlcm(c)
+    return tuple(zc // _zfactor(parts) for parts in partitions_of(c))
+
+
+@lru_cache(maxsize=None)
 def _creation_block(rest: tuple[int, ...], c: int) -> tuple[int, int, int]:
     """sum over parts |- c of (zlcm(c)/z_parts) p_{rest + parts},
     packed from the first id of its weight: (value, bound, that id).
 
     Distinct parts give distinct rest + parts, so no two terms share a slot
-    and the bound is the largest coefficient."""
-    zc = _zlcm(c)
+    and the bound is the largest coefficient.  With rest empty the slots are
+    the ranks in `partitions_of(c)`, since ids follow that order."""
+    coeffs = _creation_coeffs(c)
     w = sum(rest) + c
     base = pid((w,) if w else ())  # (w,) comes first in partitions_of(w)
-    entries = []
-    for parts in partitions_of(c):
-        coeff = zc // _zfactor(parts)
-        entries.append((pid(tuple(sorted(rest + parts, reverse=True))) - base, coeff))
-    bound = certify(max(abs(v) for _, v in entries))
-    return pack(entries), bound, base
+    if rest:
+        ids = (pid(tuple(sorted(rest + parts, reverse=True))) - base for parts in partitions_of(c))
+        entries = zip(ids, coeffs)
+    else:
+        entries = enumerate(coeffs)
+    return pack(entries), certify(max(coeffs)), base
 
 
 @lru_cache(maxsize=None)
@@ -320,12 +358,14 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, 
     A W*, W or Y* row derives from cached rows by the module docstring's
     two rules.  A Y row is built from the series.  Its annihilation stage
     is integral (see `_splits`), so the one shared denominator zl comes from
-    the creation exponential alone: each split (rest, q) that leaves
-    w-degree c for the creation exponential adds q * (zl / zlcm(c)) times the
-    cached creation block of (rest, c).  Blocks are summed per weight as
-    short ints and shifted into place once, and since weights occupy disjoint
-    slots the row's bound is the largest per-weight bound (see the module
-    docstring).
+    the creation exponential alone: each term (p, rest, q) of
+    `_annihilation_terms` with p <= -k leaves w-degree c = -k - p for the
+    creation exponential and adds q * (zl / zlcm(c)) times the cached
+    creation block of (rest, c).  Those terms are a prefix of the sorted
+    list, and zl is the zlcm of its largest degree (see Y rows in the module
+    docstring).  Blocks are summed per weight as short ints and shifted into
+    place once, and since weights occupy disjoint slots the row's bound is
+    the largest per-weight bound (see the module docstring).
     """
     if kind in _OMEGA_OF:  # X*_k = omega X_{-k} omega, and omega p_mu = (-1)^len(mu) p_mu
         value, bound, den = _mode_row_scaled(_OMEGA_OF[kind], -k, mu)
@@ -335,16 +375,14 @@ def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, 
         den = lcm(*(d for *_, d in rows))
         return (*combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
     target = -k  # Y_k is the w^{-k} coefficient of Y(w)
-    # (rest, coefficient, w-degree left for the creation exponential)
-    terms = [
-        (rest, c * q, target - p)
-        for kappa, rest, c in _splits(mu)
-        for p, q in _annihilation_wpoly(kappa)
-        if p <= target
-    ]
-    zl = lcm(*(_zlcm(deg) for _, _, deg in terms))
+    powers, rests, coeffs = _annihilation_terms(mu)
+    n = bisect_right(powers, target)
+    if not n:
+        return 0, 0, 1
+    zl = _zlcm(target - powers[0])
     graded: dict[int, list] = {}
-    for rest, q, deg in terms:
+    for p, rest, q in zip(powers[:n], rests, coeffs):
+        deg = target - p
         value, bound, base = _creation_block(rest, deg)
         graded.setdefault(base, []).append((q * (zl // _zlcm(deg)), value, bound))
     sums = [(base, *combine(ts)) for base, ts in graded.items()]
@@ -404,8 +442,12 @@ def _widening(fn):
     return run
 
 
+_KIND_SET = frozenset(MODE_KINDS)
+
+
 def _check_kinds(*kinds: str) -> None:
-    if unknown := [kind for kind in kinds if kind not in MODE_KINDS]:
+    if not _KIND_SET.issuperset(kinds):
+        unknown = [kind for kind in kinds if kind not in _KIND_SET]
         raise ValueError(f"unknown mode kind {unknown[0]!r}")
 
 
@@ -423,8 +465,11 @@ def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
 
 def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
     """X_out X_in p_mu as a packed row (value, bound, denominator): the inner
-    row is unpacked, and the outer rows are summed as packed ints.  A starred
-    outer kind is twisted once, after the sum (see the module docstring):
+    row is unpacked, and the outer rows are summed as packed ints over the
+    lcm of their denominators, kept as a running lcm that rescales the sums
+    so far when a row brings a new factor.  A starred outer kind signs each
+    inner coefficient in the same loop and is twisted once, after the sum
+    (see the module docstring):
 
         sum_nu q_nu X*_k p_nu = omega sum_nu (-1)^len(nu) q_nu X_{-k} p_nu."""
     _check_kinds(kind_out, kind_in)  # first: an empty inner row reads no outer row
@@ -432,11 +477,20 @@ def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, .
     star = kind_out in _OMEGA_OF
     if star:
         kind_out, k_out = _OMEGA_OF[kind_out], -k_out
-        inner = [(nu, -qi if len(nu) % 2 else qi) for nu, qi in inner]
-    outer = [_mode_row_scaled(kind_out, k_out, nu) for nu, _ in inner]
-    den = lcm(*[s for _, _, s in outer])
-    value, bound = combine((qi * (den // s), v, b) for (_, qi), (v, b, s) in zip(inner, outer))
-    return (twist(value) if star else value), bound, d_in * den
+    value = bound = 0
+    den = 1  # the lcm of the outer denominators so far, which the sums are over
+    for nu, q in inner:
+        v, b, s = _mode_row_scaled(kind_out, k_out, nu)
+        if s != den:
+            if den % s:  # a new factor: rescale the sums so far
+                g = lcm(den, s) // den
+                value, bound, den = value * g, bound * g, den * g
+            q *= den // s
+        if star and len(nu) % 2:
+            q = -q
+        value += q * v
+        bound += abs(q) * b
+    return (twist(value) if star else value), certify(bound), d_in * den
 
 
 @lru_cache(maxsize=None)

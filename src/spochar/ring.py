@@ -307,7 +307,8 @@ class LaurentPoly:
         """
         # v^e with v -> tc * (monomial tk) adds e * (tk - key(v)) to the key.
         # Result slot w gets sum_v e_v * (exponent of w in v's image), plus its
-        # own exponent if w is kept: at most bound * (load[w] + [w kept]).
+        # own exponent if w is kept and occurs in some term: at most
+        # bound * (load[w] + [w kept and occurring]).
         shifts: dict[VarName, tuple[int, Coeff]] = {}
         load: dict[VarName, int] = {}
         for v, p in mapping.items():
@@ -321,9 +322,19 @@ class LaurentPoly:
             shifts[v] = (tk - _var_key(v), tc)
             for w, e in _decode(tk):
                 load[w] = load.get(w, 0) + abs(e)
+        used = set()
+        if kept := [w for w in load if w not in mapping]:
+            # biased as in `rename`, a term's digit in slot w differs from
+            # 2^(B-1) exactly where w occurs, so or-ing every term's biased
+            # key xor the bias marks each slot that some term uses
+            half, mask = 1 << (SLOT_BITS - 1), (1 << SLOT_BITS) - 1
+            bias = half * ((1 << (max(map(_var_shift, kept)) + SLOT_BITS)) - 1) // mask
+            digits = 0
+            for k in self._terms:
+                digits |= (k + bias) ^ bias
+            used = {w for w in kept if (digits >> _var_shift(w)) & mask}
         bound = _checked(
-            self._bound
-            * max([1] + [n + (w not in mapping) for w, n in load.items()])
+            self._bound * max([1] + [n + (w in used) for w, n in load.items()])
         )
         out: dict = {}
         for k, c in self._terms.items():
@@ -473,9 +484,9 @@ def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         raise NonSquareMatrix(f"{n} x {cols}")
     if n > DET_DIM_CAP:
         raise DimensionCapExceeded(f"dimension {n} > cap {DET_DIM_CAP}")
-    # the one product sum the expansion below would make
+    # an entry, or the one product sum the expansion below would make
     if n == 1:
-        return dot(((rows[0][0], ONE),))
+        return rows[0][0] or ZERO
     if n == 2:
         (a, b), (c, d) = rows
         return dot(((a, d), (b, -c)))
@@ -492,6 +503,8 @@ def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         if got is not None:
             return got
         row = rows[n - mask.bit_count()]
+        if not mask & (mask - 1):  # one column left: the minor is its entry
+            return row[mask.bit_length() - 1] or ZERO
         pairs = []
         s = 1
         rest = mask

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import cache, partial
 from itertools import product
 from math import lcm
 
@@ -218,15 +217,24 @@ def check_commutation(ses: _Session, grid: Grid) -> None:
         # second word swaps the families: X_a X*_b + X*_a' X_b'
         second_out = kind_b if mixed else kind_a
         second_in = kind_a if mixed else kind_b
+        instances = [(i, j, *words(i, j)) for i, j in pairs]
         for mu in basis:
-            # within the pure families the second word of one index pair is
-            # the first word of another, so memoize per basis vector
-            composed = cache(partial(fock.compose, mu=mu))
+            # compositions of mu by index pair: within the pure families the
+            # second word of one index pair is the first word of another; the
+            # mixed ones swap the kinds, so their two words get a dict each
+            firsts: dict[tuple[int, int], tuple[int, int, int]] = {}
+            seconds = {} if mixed else firsts
             delta = fock.pack(((fock.pid(mu), 1),))
-            for i, j in pairs:
-                (w1a, w1b), (w2a, w2b) = words(i, j)
-                v1, b1, d1 = composed(kind_a, w1a, kind_b, w1b)
-                v2, b2, d2 = composed(second_out, w2a, second_in, w2b)
+            for i, j, first, second in instances:
+                row1 = firsts.get(first)
+                if row1 is None:
+                    row1 = firsts[first] = fock.compose(kind_a, first[0], kind_b, first[1], mu)
+                row2 = seconds.get(second)
+                if row2 is None:
+                    row2 = seconds[second] = fock.compose(
+                        second_out, second[0], second_in, second[1], mu
+                    )
+                (v1, b1, d1), (v2, b2, d2) = row1, row2
                 den = lcm(d1, d2)
                 terms = [(den // d1, v1, b1), (den // d2, v2, b2)]
                 if mixed and i == j:

@@ -492,6 +492,126 @@ def test_compose_equals_the_sum_of_cached_outer_rows():
                 assert got == (value, bound, d_in * den), (kind_out, k_out, kind_in, k_in, mu)
 
 
+# --- the prefix-read Y row against the filter over every split ---
+
+
+def _enumerated_wpoly(kappa):
+    """prod_{r in kappa} -(w^r + w^-r) by its 2^len(kappa) choices of signs."""
+    sign = (-1) ** len(kappa)
+    out = {}
+    for signs in product((1, -1), repeat=len(kappa)):
+        p = sum(s * r for s, r in zip(signs, kappa))
+        out[p] = out.get(p, 0) + sign
+    return tuple(sorted(out.items()))
+
+
+def _filtered_row(kind, k, mu, memo):
+    """X_k p_mu as (value, bound, den) by the direct expansion: every split's
+    powers filtered at k, the denominator the lcm over every degree, each
+    creation block sorted into place."""
+    if (kind, k, mu) in memo:
+        return memo[kind, k, mu]
+    if kind in fock._OMEGA_OF:
+        value, bound, den = _filtered_row(fock._OMEGA_OF[kind], -k, mu, memo)
+        row = (-fock.twist(value) if len(mu) % 2 else fock.twist(value)), bound, den
+    elif kind == "W":
+        rows = [_filtered_row("Y", j, mu, memo) for j in (k, k + 2)]
+        den = lcm(*(d for *_, d in rows))
+        row = (*fock.combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
+    else:
+        target = -k
+        terms = [
+            (rest, c * q, target - p)
+            for kappa, rest, c in fock._splits(mu)
+            for p, q in _enumerated_wpoly(kappa)
+            if p <= target
+        ]
+        zl = lcm(*(fock._zlcm(deg) for _, _, deg in terms))
+        graded = {}
+        for rest, q, deg in terms:
+            w = sum(rest) + deg
+            base = fock.pid((w,) if w else ())
+            entries = [
+                (fock.pid(tuple(sorted(rest + parts, reverse=True))) - base,
+                 fock._zlcm(deg) // fock._zfactor(parts))
+                for parts in partitions_of(deg)
+            ]
+            block = fock.pack(entries), max(c for _, c in entries)
+            graded.setdefault(base, []).append((q * (zl // fock._zlcm(deg)), *block))
+        sums = [(base, *fock.combine(ts)) for base, ts in graded.items()]
+        value = sum(v << (fock.SLOT_BITS * base) for base, v, _ in sums)
+        row = value, max((b for *_, b in sums), default=0), zl
+    memo[kind, k, mu] = row
+    return row
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_mode_rows_match_the_filter_over_every_split(monkeypatch, bits):
+    monkeypatch.setattr(fock, "SLOT_WIDTHS", (bits,))
+    clear_caches()
+    assert fock.SLOT_BITS == bits
+    memo = {}
+    for kind in MODE_KINDS:
+        for k in range(-8, 9):
+            for mu in (mu for w in range(7) for mu in partitions_of(w)):
+                want = _filtered_row(kind, k, mu, memo)
+                assert fock._mode_row_scaled(kind, k, mu) == want, (bits, kind, k, mu)
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_zlcm_divides_the_next_degree():
+    # so a Y row's one denominator is the zlcm of its largest degree
+    for d in range(25):
+        assert fock._zlcm(d + 1) % fock._zlcm(d) == 0, d
+
+
+def test_annihilation_wpoly_matches_the_sign_enumeration():
+    for w in range(11):
+        for kappa in partitions_of(w):
+            assert fock._annihilation_wpoly(kappa) == _enumerated_wpoly(kappa), kappa
+
+
+# caches of fock whose values mean the same at every slot width
+_WIDTH_FREE_CACHES = {
+    "_zfactor", "_splits", "_annihilation_wpoly", "_annihilation_terms", "_zlcm",
+    "_creation_coeffs", "_row_entries", "_ket_cached", "_power_sum_value",
+    "_power_sum_product", "_bra_on_basis",
+}
+
+
+def test_every_fock_cache_is_width_free_or_emptied_on_widening(monkeypatch):
+    from spochar.verify import Grid, run_suite
+
+    caches = {
+        name: obj for name, obj in vars(fock).items()
+        if hasattr(obj, "cache_clear") and obj.__module__ == fock.__name__
+    }
+    packed = {fn.__name__ for fn in fock._PACKED_CACHES}
+    assert set(caches) == _WIDTH_FREE_CACHES | packed
+    assert not _WIDTH_FREE_CACHES & packed
+    clear_caches()
+    assert run_suite("commutation", Grid(max_weight=1)).passed
+    assert fock._annihilation_terms.cache_info().currsize
+    assert fock._creation_coeffs.cache_info().currsize
+    # the row-path caches filled at 64 bits hold the same values at 16
+    basis = [mu for w in range(4) for mu in partitions_of(w)]
+
+    def tables():
+        return (
+            [fock._annihilation_terms(mu) for mu in basis],
+            [fock._creation_coeffs(c) for c in range(8)],
+        )
+
+    wide = tables()
+    monkeypatch.setattr(fock, "SLOT_WIDTHS", (16,))
+    clear_caches()
+    assert tables() == wide
+    monkeypatch.undo()
+    clear_caches()
+    assert all(cache.cache_info().currsize == 0 for cache in caches.values())
+
+
 # --- packed rows ---
 
 _HALF = 1 << (fock.SLOT_BITS - 1)

@@ -244,6 +244,40 @@ def test_substitute_single_term_targets():
         X1.substitute({xvar(1): Z1 + ONE})
 
 
+def test_substitute_counts_a_kept_image_only_where_it_occurs():
+    X2 = LaurentPoly.variable(xvar(2))
+    T1 = LaurentPoly.variable(ring.tvar(1))
+    cube = X1 * X1 * X1
+    # x2 and t1 are kept images the polynomial does not use: no own exponent
+    assert cube.substitute({xvar(1): X2})._bound == 3
+    assert cube.substitute({xvar(1): T1 * T1})._bound == 6
+    # x2 occurs, so its slot holds its own exponent next to x1's image
+    got = (cube * X2).substitute({xvar(1): X2})
+    assert got == X2 * X2 * X2 * X2 and got._bound == 8
+    # so a square image of an exponent just below HALF/2 now fits
+    edge = LaurentPoly.variable(xvar(1), HALF // 2 - 1).substitute({xvar(1): X2 * X2})
+    assert edge == LaurentPoly.variable(xvar(2), HALF - 2)
+
+
+def test_substitute_checks_the_bound_before_building_a_key(monkeypatch):
+    # the bound is checked once the images are read, before any term's key
+    # is decoded to build its image
+    X2 = LaurentPoly.variable(xvar(2))
+    cases = (
+        # x1^(HALF/2) -> x2^2 reaches the slot limit in a slot no term uses
+        (LaurentPoly.variable(xvar(1), HALF // 2), X2 * X2),
+        # x1^(HALF/2 - 1) * x2 -> x2 reaches it in the slot x2 itself uses
+        (LaurentPoly.variable(xvar(1), HALF // 2 - 1) * X2, X2),
+    )
+    decode = ring._decode
+    for poly, image in cases:
+        decoded = []
+        monkeypatch.setattr(ring, "_decode", lambda key: decoded.append(key) or decode(key))
+        with pytest.raises(SlotOverflow):
+            poly.substitute({xvar(1): image})
+        assert decoded == list(image._terms)
+
+
 def test_require_integer():
     ok = X1 + LaurentPoly.constant(Fraction(2))
     assert ok.require_integer() == ok
@@ -335,6 +369,22 @@ def test_det_small_dimensions_match_leibniz():
         assert got._bound == max(
             [p._bound + q._bound for p, q in ((a, d), (b, c)) if p and q], default=0
         )
+
+
+def test_det_returns_a_single_column_minor_as_its_entry(monkeypatch):
+    half = LaurentPoly.constant(Fraction(1, 2))
+    rows = [[X1, ONE, Z1], [ONE, X1I, Z1], [half * Z1, ONE, X1]]
+    want = leibniz_det(rows)
+    # the entry itself, and ZERO for any zero entry, as the one-pair sum was
+    entries = [(a, dot([(a, ONE)])) for a in (half * X1 + Z1, ZERO, X1 - X1)]
+    calls = []
+    monkeypatch.setattr(ring, "dot", lambda pairs: calls.append(1) or dot(pairs))
+    assert det_of(rows) == want
+    assert len(calls) == 4  # the whole expansion and its three 2x2 minors, not 7
+    for a, one_pair in entries:
+        got = det_of([[a]])
+        assert got._terms == one_pair._terms and got._bound == one_pair._bound
+    assert len(calls) == 4
 
 
 def test_det_respects_cap():
