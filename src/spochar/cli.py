@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .characters import skew, universal
 from .fock import matrix_element, pairing
@@ -80,10 +79,11 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = Grid.from_json(json.loads(args.grid) if args.grid else {})
+    # through the validating constructor, so a bad override exits 2
     if args.seed is not None:
-        grid = replace(grid, rng_seed=args.seed)
+        grid = Grid(**{**grid._asdict(), "rng_seed": args.seed})
     if args.eval_points is not None:
-        grid = replace(grid, eval_points=args.eval_points)
+        grid = Grid(**{**grid._asdict(), "eval_points": args.eval_points})
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITE_NAMES:

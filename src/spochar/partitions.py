@@ -10,10 +10,9 @@ the same partition with different paddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class PartitionTooLong(ValueError):
@@ -138,8 +137,7 @@ def subpartitions(lam: Partition, max_len: int) -> tuple[Partition, ...]:
     )
 
 
-@dataclass(frozen=True)
-class GTChain:
+class GTChain(NamedTuple):
     """An interlacing chain z_0 = {} < z_1 < ... < z_{2n+1} = lam, where z_k
     has ceil(k/2) declared parts."""
 

@@ -15,27 +15,32 @@ symmetric h-families together through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .ring import ONE, ZERO, LaurentPoly, Monomial, _checked, dot, xvar, yvar, zvar
 
 Z_MODES = ("plain", "symmetric")
 
 
-@dataclass(frozen=True)
-class HSpec:
-    """Which h-family: n paired x-variables, m z-variables, z handling."""
-
+class _HSpecFields(NamedTuple):
     n: int
     m: int
     z_mode: str = "plain"
 
-    def __post_init__(self):
+
+class HSpec(_HSpecFields):
+    """Which h-family: n paired x-variables, m z-variables, z handling."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 0 or self.m < 0:
             raise ValueError("variable counts must be >= 0")
         if self.z_mode not in Z_MODES:
             raise ValueError(f"z_mode must be one of {Z_MODES}")
+        return self
 
 
 @lru_cache(maxsize=None)

@@ -18,10 +18,10 @@ a false identity.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from . import fock, series
 from .characters import (
@@ -47,10 +47,7 @@ from .ring import ONE, ZERO, LaurentPoly, dot, xvar, yvar, zvar
 from .series import HSpec, check_newton
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Bounds for a verification run; defaults match the acceptance grids."""
-
+class _GridFields(NamedTuple):
     n_range: tuple[int, int] = (0, 3)
     m_range: tuple[int, int] = (0, 2)
     max_weight: int = 6
@@ -59,12 +56,24 @@ class Grid:
     rng_seed: int = 0
     eval_points: int = 0
 
-    def __post_init__(self):
+
+class Grid(_GridFields):
+    """Bounds for a verification run; defaults match the acceptance grids.
+
+    Every construction validates, so rebuild a changed grid with
+    ``Grid(**{**grid._asdict(), key: value})``: ``_replace`` skips the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for lo, hi in (self.n_range, self.m_range):
             if lo < 0 or hi < lo:
                 raise ValueError("ranges must be 0 <= lo <= hi")
         if min(self.max_weight, self.max_len, self.degree_cap, self.eval_points) < 0:
             raise ValueError("bounds must be >= 0")
+        return self
 
     @property
     def ns(self) -> range:
@@ -75,14 +84,14 @@ class Grid:
         return range(self.m_range[0], self.m_range[1] + 1)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_json(cls, data) -> "Grid":
         """Grid from a JSON object; raises ValueError on unknown keys or types."""
         if not isinstance(data, dict):
             raise ValueError("grid must be a JSON object")
-        known = [f.name for f in fields(cls)]
+        known = cls._fields
         kwargs = {}
         for key, value in data.items():
             if key not in known:
@@ -96,12 +105,12 @@ class Grid:
         return cls(**kwargs)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
+    # no defaults: a default list would be one list shared by every report
     check_name: str
     instances_run: int
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    failures: list[tuple[str, str, str]]
+    notes: list[str]
 
     @property
     def passed(self) -> bool:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spochar import fock
 from spochar.cli import main
-from spochar.verify import SUITE_NAMES, CheckReport
+from spochar.verify import SUITE_NAMES, CheckReport, Grid
 
 
 def run(capsys, *argv):
@@ -260,6 +260,37 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--suite", "newton")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_negative_eval_points_override_is_refused(capsys):
+    assert main(["verify", "--suite", "newton", "--eval-points", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: bounds must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "flags,changed",
+    [
+        (["--seed", "7"], {"rng_seed": 7}),
+        (["--eval-points", "1"], {"eval_points": 1}),
+        (["--seed", "7", "--eval-points", "1"], {"rng_seed": 7, "eval_points": 1}),
+    ],
+)
+def test_grid_overrides_keep_every_other_field(capsys, monkeypatch, flags, changed):
+    import spochar.cli as cli
+
+    grids = []
+
+    def fake(name, grid):
+        grids.append(grid)
+        return CheckReport(name, 1, [], [])
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    given = {"n_range": [1, 2], "m_range": [1, 1], "max_weight": 2, "max_len": 3, "degree_cap": 4}
+    code, out = run(capsys, "verify", "--suite", "newton", "--grid", json.dumps(given), *flags)
+    assert code == 0
+    (grid,) = grids
+    assert type(grid) is Grid
+    assert grid.to_json() == {**Grid.from_json(given).to_json(), **changed}
 
 
 def test_broken_bialternant_exits_1(capsys, broken_universal):

@@ -1,11 +1,14 @@
 """Every import in the package modules, the tests and the scripts is used,
-and every public name of the package has a caller outside the tests.
+every public name of the package has a caller outside the tests, and
+importing the package leaves the slow standard modules unloaded.
 
 The package's `__init__.py` is exempt from the import scan: its imports are
 the public exports.  For the same reason they do not count as callers.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,22 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     }
     assert sorted(k for k, name in found.items() if name not in NO_CALLER_OK) == []
     assert sorted(found.values()) == sorted(NO_CALLER_OK)
+
+
+# `dataclasses` pulls in `inspect`, `ast`, `tokenize`, `dis` and `copy`:
+# several milliseconds on every CLI call and benchmark child.
+COLD_START_UNLOADED = ("dataclasses", "inspect")
+
+
+def test_package_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S: no site `.pth` file gets to import either module first
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import spochar, spochar.verify, spochar.cli\n"
+        f"print(sorted(set({COLD_START_UNLOADED!r}) & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ Enumeration routines are compared against brute-force oracles that re-derive
 the defining constraints directly.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -281,3 +282,18 @@ def test_weight_exponents_sum_rule():
         assert exps[-1] == w[-1] - w[-2]
         for i in range(1, c.n + 1):
             assert exps[i - 1] == 2 * w[2 * i - 1] - w[2 * i] - w[2 * i - 2]
+
+
+def test_weight_exponents_of_the_gt_sum_chains_are_pinned():
+    # every chain the gt_sum suite builds for n <= 3 up to weight 4, in order
+    digest = hashlib.sha256()
+    count = 0
+    for n in (1, 2, 3):
+        for lam in enumerate_partitions(n, 4):
+            for c in gt_chains(lam, n):
+                digest.update(repr((lam.parts, n, c.weight_exponents())).encode())
+                count += 1
+    assert count == 1505
+    assert digest.hexdigest() == (
+        "e2787a5094662ede8af1e7c96cefaf6e71552119b7bb1df5d053255ddef26517"
+    )

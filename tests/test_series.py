@@ -151,3 +151,30 @@ def test_h_table_overflow_is_refused_before_building():
         h_seq(HSpec(0, 1), 1 << 15)
     with pytest.raises(SlotOverflow):
         _geom_product((((xvar(1), 2),),), 1 << 14)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((-1, 0), "variable counts must be >= 0"),
+        ((0, -1), "variable counts must be >= 0"),
+        ((1, 0, "bogus"), "z_mode must be one of"),
+        ((-1, 0, "bogus"), "variable counts must be >= 0"),  # counts are checked first
+    ],
+)
+def test_hspec_validates_on_construction(args, message):
+    with pytest.raises(ValueError, match=message):
+        HSpec(*args)
+    with pytest.raises(ValueError, match=message):
+        HSpec(**dict(zip(("n", "m", "z_mode"), args)))
+
+
+def test_equal_hspecs_share_one_cache_entry():
+    assert HSpec(1, 2) == HSpec(1, 2, "plain") == HSpec(n=1, m=2, z_mode="plain")
+    assert hash(HSpec(1, 2)) == hash(HSpec(1, 2, "plain"))
+    assert HSpec(1, 2) != HSpec(1, 2, "symmetric")
+    _geom_factors.cache_clear()
+    for spec in (HSpec(1, 2), HSpec(1, 2, "plain"), HSpec(n=1, m=2)):
+        h_seq(spec, 2)
+    info = _geom_factors.cache_info()
+    assert (info.hits, info.misses) == (2, 1)

@@ -4,16 +4,19 @@ Full-grid suite runs live in the acceptance tests; these tests use small grids
 so the whole file stays fast.
 """
 
+import ast
 import hashlib
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import spochar
-from spochar import clear_caches, fock, verify
+from spochar import clear_caches, fock, series, verify
 from spochar.ring import ONE, LaurentPoly, xvar
+from spochar.series import HSpec
 from spochar.verify import (
     SUITE_NAMES,
     SUITES,
@@ -37,7 +40,11 @@ def test_grid_defaults():
 
 def test_grid_json_round_trip():
     g = Grid(n_range=(1, 2), m_range=(0, 1), max_weight=4, max_len=2, degree_cap=5, rng_seed=9, eval_points=2)
-    assert Grid.from_json(g.to_json()) == g
+    assert list(g.to_json()) == [
+        "n_range", "m_range", "max_weight", "max_len", "degree_cap", "rng_seed", "eval_points"
+    ]
+    back = Grid.from_json(json.loads(json.dumps(g.to_json())))
+    assert type(back) is Grid and back == g
 
 
 def test_report_json_shape():
@@ -52,6 +59,71 @@ def test_report_json_shape():
 def test_report_passed_flag():
     assert CheckReport("x", 1, [], []).passed
     assert not CheckReport("x", 1, [("d", "1", "0")], []).passed
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"n_range": (2, 1)}, "ranges must be 0 <= lo <= hi"),
+        ({"m_range": (-1, 0)}, "ranges must be 0 <= lo <= hi"),
+        ({"max_weight": -1}, "bounds must be >= 0"),
+        ({"max_len": -1}, "bounds must be >= 0"),
+        ({"degree_cap": -1}, "bounds must be >= 0"),
+        ({"eval_points": -1}, "bounds must be >= 0"),
+        # the ranges are checked first
+        ({"n_range": (1, 0), "eval_points": -1}, "ranges must be 0 <= lo <= hi"),
+    ],
+)
+def test_every_grid_construction_validates(fields, message):
+    as_json = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
+    builds = [
+        lambda: Grid(**fields),
+        lambda: Grid.from_json(as_json),
+        lambda: Grid(**{**Grid()._asdict(), **fields}),  # how the CLI applies an override
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_reports_never_share_a_list():
+    with pytest.raises(TypeError):
+        CheckReport("a", 1)  # no shared default list to fall back on
+    a = CheckReport("a", 1, [("d", "1", "0")], ["n"])
+    assert not a.passed
+    assert a.to_json() == {
+        "check_name": "a",
+        "instances_run": 1,
+        "passed": False,
+        "failures": [{"instance": "d", "lhs": "1", "rhs": "0"}],
+        "notes": ["n"],
+    }
+    grid = Grid(n_range=(0, 0), m_range=(0, 0), degree_cap=3)
+    first, second = run_suite("cauchy_o", grid), run_suite("cauchy_o", grid)
+    assert first.notes == second.notes != []
+    assert first.notes is not second.notes and first.failures is not second.failures
+
+
+def test_only_hspecs_key_the_h_family_cache(monkeypatch):
+    # an HSpec or a Grid equals the plain tuple of its fields, so a cache that
+    # took both could hand one the other's entry
+    cached = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                "cache" in ast.unparse(d) for d in node.decorator_list
+            ):
+                annotations = {ast.unparse(a.annotation) for a in node.args.args if a.annotation}
+                if annotations & {"HSpec", "Grid"}:
+                    cached.append(node.name)
+    assert cached == ["_geom_factors"]
+    seen = []
+    real = series._geom_factors
+    monkeypatch.setattr(series, "_geom_factors", lambda spec: seen.append(type(spec)) or real(spec))
+    grid = Grid(n_range=(0, 1), m_range=(0, 1), max_weight=2, max_len=2, degree_cap=3)
+    for name in SUITE_NAMES:
+        run_suite(name, grid)
+    assert seen and set(seen) == {HSpec}
 
 
 def test_registry_is_complete():
