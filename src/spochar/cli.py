@@ -79,11 +79,11 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = Grid.from_json(json.loads(args.grid) if args.grid else {})
-    # through the validating constructor, so a bad override exits 2
+    # `_replace` validates too, so a bad override exits 2
     if args.seed is not None:
-        grid = Grid(**{**grid._asdict(), "rng_seed": args.seed})
+        grid = grid._replace(rng_seed=args.seed)
     if args.eval_points is not None:
-        grid = Grid(**{**grid._asdict(), "eval_points": args.eval_points})
+        grid = grid._replace(eval_points=args.eval_points)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITE_NAMES:

@@ -155,6 +155,24 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
+@lru_cache(maxsize=1 << 10)
+def _plan(units: tuple[tuple[VarName, int, Coeff], ...]):
+    """`LaurentPoly._shift`'s set-up for one mapping: each move (slot shift
+    of v, image key - key(v), image coefficient), the largest load (>= 1),
+    each kept target's (slot shift, load) and the 2^(B-1) bias of every
+    slot read.  Target w's load is the sum of |exponent of w| over images."""
+    load: dict[VarName, int] = {}
+    for _, tk, _ in units:
+        for w, e in _decode(tk):
+            load[w] = load.get(w, 0) + abs(e)
+    replaced = {v for v, _, _ in units}
+    moves = tuple((_var_shift(v), tk - _var_key(v), tc) for v, tk, tc in units)
+    kept = tuple((_var_shift(w), n) for w, n in load.items() if w not in replaced)
+    top = max([s for s, _, _ in moves] + [s for s, _ in kept], default=-SLOT_BITS)
+    bias = (1 << (SLOT_BITS - 1)) * ((1 << (top + SLOT_BITS)) - 1) // ((1 << SLOT_BITS) - 1)
+    return moves, max([1] + list(load.values())), kept, bias
+
+
 class LaurentPoly:
     """An immutable Laurent polynomial in canonical sparse form."""
 
@@ -305,12 +323,7 @@ class LaurentPoly:
         Each target must be a nonzero monomial times a nonzero rational, so
         arbitrary (including negative) source exponents stay meaningful.
         """
-        # v^e with v -> tc * (monomial tk) adds e * (tk - key(v)) to the key.
-        # Result slot w gets sum_v e_v * (exponent of w in v's image), plus its
-        # own exponent if w is kept and occurs in some term: at most
-        # bound * (load[w] + [w kept and occurring]).
-        shifts: dict[VarName, tuple[int, Coeff]] = {}
-        load: dict[VarName, int] = {}
+        units = []
         for v, p in mapping.items():
             if isinstance(p, (int, Fraction)):
                 p = LaurentPoly.constant(p)
@@ -319,75 +332,45 @@ class LaurentPoly:
                     f"substitution target for {v.text()} must be a single term"
                 )
             ((tk, tc),) = p._terms.items()
-            shifts[v] = (tk - _var_key(v), tc)
-            for w, e in _decode(tk):
-                load[w] = load.get(w, 0) + abs(e)
-        used = set()
-        if kept := [w for w in load if w not in mapping]:
-            # biased as in `rename`, a term's digit in slot w differs from
-            # 2^(B-1) exactly where w occurs, so or-ing every term's biased
-            # key xor the bias marks each slot that some term uses
-            half, mask = 1 << (SLOT_BITS - 1), (1 << SLOT_BITS) - 1
-            bias = half * ((1 << (max(map(_var_shift, kept)) + SLOT_BITS)) - 1) // mask
+            units.append((v, tk, tc))
+        return self._shift(tuple(units))
+
+    def rename(self, mapping: Mapping[VarName, VarName]) -> "LaurentPoly":
+        """Replace each variable of `mapping` by its image; exponents that
+        meet in one slot add up."""
+        return self._shift(tuple((v, _var_key(b), 1) for v, b in mapping.items()))
+
+    def _shift(self, units: tuple[tuple[VarName, int, Coeff], ...]) -> "LaurentPoly":
+        """Replace each v of `units` (v, image key, image coefficient): v^e
+        adds e * (image key - key(v)) to a term's key and multiplies its
+        coefficient by the image coefficient^e.  Slot w then holds at most
+        bound * (load[w] + [w is kept and occurs in some term])."""
+        moves, load, kept, bias = _plan(units)
+        half, mask = 1 << (SLOT_BITS - 1), (1 << SLOT_BITS) - 1
+        # with 2^(B-1) added to every slot read, each digit reads off the
+        # biased key with no borrows, and is 2^(B-1) exactly where its
+        # variable is absent: the or below marks each kept slot some term uses
+        if kept:
             digits = 0
             for k in self._terms:
                 digits |= (k + bias) ^ bias
-            used = {w for w in kept if (digits >> _var_shift(w)) & mask}
-        bound = _checked(
-            self._bound * max([1] + [n + (w in used) for w, n in load.items()])
-        )
+            load = max([load] + [n + 1 for s, n in kept if (digits >> s) & mask])
+        bound = _checked(self._bound * load)
         out: dict = {}
+        get = out.get
         for k, c in self._terms.items():
-            key = k
-            for v, e in _decode(k):
-                hit = shifts.get(v)
-                if hit is not None:
-                    shift, tc = hit
-                    key += e * shift
-                    if tc != 1:
-                        c = c * (Fraction(tc) ** e if e < 0 else tc**e)
-            s = out.get(key, 0) + c
+            biased = k + bias
+            for shift, delta, tc in moves:
+                e = ((biased >> shift) & mask) - half
+                k += e * delta
+                if e and tc != 1:
+                    c = c * (Fraction(tc) ** e if e < 0 else tc**e)
+            s = get(k, 0) + c
             if s:
-                out[key] = s
+                out[k] = s if type(s) is int else _norm_coeff(s)
             else:
-                del out[key]
-        return LaurentPoly({k: _norm_coeff(c) for k, c in out.items()}, bound)
-
-    def rename(self, mapping: Mapping[VarName, VarName]) -> "LaurentPoly":
-        """Replace each variable of `mapping` by its image.
-
-        When the images are distinct and none of them is a variable of this
-        polynomial that the mapping leaves in place, no two exponents meet in
-        one slot: every key moves by sum_v e_v * (key(image) - key(v)) and the
-        bound is kept.  Any other mapping, where exponents may merge, goes
-        through `substitute`, which adds them and raises SlotOverflow as for
-        any substitution.
-        """
-        images = set(mapping.values())
-        if len(images) == len(mapping):
-            half, mask = 1 << (SLOT_BITS - 1), (1 << SLOT_BITS) - 1
-            moves = [(_var_shift(v), _var_key(b) - _var_key(v)) for v, b in mapping.items()]
-            # an image the mapping leaves in place must be absent from every term
-            kept = [_var_shift(w) for w in images if w not in mapping]
-            top = max([s for s, _ in moves] + kept, default=-SLOT_BITS) + SLOT_BITS
-            # with 2^(B-1) added to every slot below `top`, each digit there
-            # reads off the biased key with no borrows
-            bias = half * ((1 << top) - 1) // mask
-            guard = sum(mask << s for s in kept)
-            empty = bias & guard
-            out = {}
-            for k, c in self._terms.items():
-                biased = k + bias
-                if biased & guard != empty:
-                    break
-                for shift, delta in moves:
-                    k += (((biased >> shift) & mask) - half) * delta
-                out[k] = c
-            else:
-                return LaurentPoly(out, self._bound)
-        return self.substitute(
-            {a: LaurentPoly.variable(b) for a, b in mapping.items()}
-        )
+                del out[k]
+        return LaurentPoly(out, bound)
 
     def require_integer(self) -> "LaurentPoly":
         for k, c in self._terms.items():

@@ -42,6 +42,10 @@ class HSpec(_HSpecFields):
             raise ValueError(f"z_mode must be one of {Z_MODES}")
         return self
 
+    @classmethod
+    def _make(cls, iterable) -> "HSpec":
+        return cls(*iterable)  # through the check; `_replace` calls this
+
 
 @lru_cache(maxsize=None)
 def _geom_factors(spec: HSpec) -> tuple[Monomial, ...]:

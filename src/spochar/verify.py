@@ -59,10 +59,7 @@ class _GridFields(NamedTuple):
 
 class Grid(_GridFields):
     """Bounds for a verification run; defaults match the acceptance grids.
-
-    Every construction validates, so rebuild a changed grid with
-    ``Grid(**{**grid._asdict(), key: value})``: ``_replace`` skips the check.
-    """
+    Every construction validates, ``_replace`` and ``_make`` included."""
 
     __slots__ = ()
 
@@ -74,6 +71,10 @@ class Grid(_GridFields):
         if min(self.max_weight, self.max_len, self.degree_cap, self.eval_points) < 0:
             raise ValueError("bounds must be >= 0")
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Grid":
+        return cls(*iterable)  # through the check; `_replace` calls this
 
     @property
     def ns(self) -> range:
@@ -461,7 +462,6 @@ def _is_partition_seq(seq) -> bool:
 def check_transition_odd(ses: _Session, grid: Grid) -> None:
     """Rewrites of the one-plain-variable characters as signed sums of
     paired-variable characters with the plain variable adjoined as a pair."""
-    z1 = LaurentPoly.variable(zvar(1))
     for n in grid.ns:
         # the symplectic sum runs over n+1 rows, the orthogonal one over n
         for family, rows in (("sp", n + 1), ("o", n)):
@@ -471,8 +471,8 @@ def check_transition_odd(ses: _Session, grid: Grid) -> None:
                 for eps in product((0, 1), repeat=rows):
                     seq = tuple(a - e for a, e in zip(lp, eps))
                     if _is_partition_seq(seq):
-                        term = universal(family, Partition(seq), n + 1, 0).substitute(
-                            {xvar(n + 1): z1}
+                        term = universal(family, Partition(seq), n + 1, 0).rename(
+                            {xvar(n + 1): zvar(1)}
                         )
                         d = sum(eps)
                         zpow = LaurentPoly.monomial(((zvar(1), -d),), (-1) ** d)
@@ -500,9 +500,7 @@ def check_gt_sum(ses: _Session, grid: Grid) -> None:
         for lam in _lams(grid.max_weight, n):
             chains = list(gt_chains(lam, n))
             total = sum((gt_weight(chain) for chain in chains), ZERO)
-            rhs = universal("sp", lam, n, 1).substitute(
-                {zvar(1): LaurentPoly.variable(xvar(n + 1))}
-            )
+            rhs = universal("sp", lam, n, 1).rename({zvar(1): xvar(n + 1)})
             ses.check(
                 (lam.weight, "sum", n),
                 f"gt sum lam={lam.parts} n={n}",

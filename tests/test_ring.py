@@ -188,7 +188,9 @@ def _block_moves():
             ] + [zvar(i) for i in range(1, m + 1)]
 
 
-def test_block_rename_moves_keys_without_substitute(monkeypatch):
+def test_block_rename_keeps_the_bound_and_calls_no_substitute(monkeypatch):
+    # the benchmark's tracer counts both methods as one span, so neither
+    # may call the other
     substitute = LaurentPoly.substitute
     calls = []
 
@@ -208,31 +210,27 @@ def test_block_rename_moves_keys_without_substitute(monkeypatch):
         got = poly.rename(mapping)
         assert calls == []
         assert list(got._terms.items()) == list(want._terms.items()), mapping
-        # no two exponents meet, so the bound is kept; `substitute` cannot
-        # see that and doubles it for an image outside the mapping
-        assert got._bound == poly._bound <= want._bound
-        if set(mapping.values()) == set(mapping):
-            assert got._bound == want._bound
+        # each image collects one exponent and no kept image occurs, so no
+        # two exponents meet and both keep the bound
+        assert got._bound == want._bound == poly._bound
 
 
-def test_rename_falls_back_to_substitute_where_exponents_merge(monkeypatch):
-    substitute = LaurentPoly.substitute
-    calls = []
-
-    def counted(self, mapping):
-        calls.append(mapping)
-        return substitute(self, mapping)
-
-    monkeypatch.setattr(LaurentPoly, "substitute", counted)
+def test_rename_matches_substitute_where_exponents_merge():
     X2, X3 = LaurentPoly.variable(xvar(2)), LaurentPoly.variable(xvar(3))
-    # x2 is an image and stays in place
-    assert (X1 * X2 + X3).rename({xvar(1): xvar(2)}) == X2 * X2 + X3
-    # two variables onto one
-    assert (X1 + X2 * X2).rename({xvar(1): xvar(3), xvar(2): xvar(3)}) == X3 + X3 * X3
-    assert len(calls) == 2
-    # an image in place but absent from the polynomial moves keys
-    assert (X1 + X3).rename({xvar(1): xvar(2)}) == X2 + X3
-    assert len(calls) == 2
+    cases = (
+        # x2 is an image and stays in place
+        (X1 * X2 + X3, {xvar(1): xvar(2)}, X2 * X2 + X3, 4),
+        # two variables onto one
+        (X1 + X2 * X2, {xvar(1): xvar(3), xvar(2): xvar(3)}, X3 + X3 * X3, 4),
+        # an image in place but absent from the polynomial: nothing merges
+        (X1 + X3, {xvar(1): xvar(2)}, X2 + X3, 1),
+    )
+    for poly, mapping, value, bound in cases:
+        got = poly.rename(mapping)
+        want = poly.substitute({a: LaurentPoly.variable(b) for a, b in mapping.items()})
+        assert got == value and got._bound == bound
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert got._bound == want._bound
 
 
 def test_substitute_single_term_targets():
@@ -271,6 +269,7 @@ def test_substitute_checks_the_bound_before_building_a_key(monkeypatch):
     )
     decode = ring._decode
     for poly, image in cases:
+        clear_caches()  # a cached plan decodes no image
         decoded = []
         monkeypatch.setattr(ring, "_decode", lambda key: decoded.append(key) or decode(key))
         with pytest.raises(SlotOverflow):
@@ -643,6 +642,23 @@ def test_rename_matches_tuple_reference(p, mapping):
         assert largest_exponent(p) * (len(mapping) + 1) >= HALF
     else:
         assert unpacked(got) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_ref_polys, st.dictionaries(variables, variables, max_size=4))
+@example({((xvar(1), HALF // 2), (xvar(2), HALF // 2 - 1)): 1}, {xvar(1): xvar(2)})
+def test_rename_is_substitute_with_variable_images(p, mapping):
+    poly = packed(p)
+    images = {a: LaurentPoly.variable(b) for a, b in mapping.items()}
+    outcomes = []
+    for run in (lambda: poly.rename(mapping), lambda: poly.substitute(images)):
+        try:
+            got = run()
+        except SlotOverflow:
+            outcomes.append(SlotOverflow)
+        else:
+            outcomes.append((list(got._terms.items()), got._bound))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -167,6 +167,10 @@ def test_hspec_validates_on_construction(args, message):
         HSpec(*args)
     with pytest.raises(ValueError, match=message):
         HSpec(**dict(zip(("n", "m", "z_mode"), args)))
+    with pytest.raises(ValueError, match=message):
+        HSpec(1, 2)._replace(**dict(zip(("n", "m", "z_mode"), args)))
+    with pytest.raises(ValueError, match=message):
+        HSpec._make((*args, "plain")[:3])
 
 
 def test_equal_hspecs_share_one_cache_entry():

@@ -79,11 +79,19 @@ def test_every_grid_construction_validates(fields, message):
     builds = [
         lambda: Grid(**fields),
         lambda: Grid.from_json(as_json),
-        lambda: Grid(**{**Grid()._asdict(), **fields}),  # how the CLI applies an override
+        lambda: Grid(**{**Grid()._asdict(), **fields}),
+        lambda: Grid()._replace(**fields),  # how the CLI applies an override
+        lambda: Grid._make({**Grid()._asdict(), **fields}.values()),
     ]
     for build in builds:
         with pytest.raises(ValueError, match=message):
             build()
+
+
+def test_a_replaced_grid_cannot_pass_vacuously():
+    with pytest.raises(ValueError, match="^ranges must be 0 <= lo <= hi$"):
+        run_suite("bialternants", Grid()._replace(n_range=(2, 1)))
+    assert Grid()._replace(rng_seed=3) == Grid(rng_seed=3)
 
 
 def test_reports_never_share_a_list():
