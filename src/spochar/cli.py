@@ -90,7 +90,12 @@ def _cmd_verify(args) -> int:
             raise UsageError(
                 f"unknown suite {name!r}; known: all, {', '.join(SUITE_NAMES)}"
             )
-    reports = [run_suite(name, grid) for name in names]
+    reports = []
+    for name in names:
+        try:
+            reports.append(run_suite(name, grid))
+        except ValueError as exc:  # name the suite a mid-run usage error came from
+            raise UsageError(f"suite {name}: {exc}") from None
     payload = {
         "grid": grid.to_json(),
         "reports": [r.to_json() for r in reports],

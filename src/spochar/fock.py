@@ -1,45 +1,47 @@
-"""Truncated bosonic Fock-space engine.
+"""Truncated bosonic Fock-space engine, in the Schur basis.
 
 A public vector is a dict mapping a power-sum index (a partition tuple, parts
-descending) to an exact rational coefficient (int or Fraction).  Inside,
-kets and bras are integers over one denominator, and a matrix element
-contracts them in integers and divides once.  The Heisenberg generators act by
+descending) to an exact rational coefficient (int or Fraction).  Inside, the
+modes act on Schur functions s_lambda with integer coefficients, and power
+sums appear only at the public boundary (`apply_mode`, `ket`,
+`matrix_element`).  The Heisenberg generators act by
 
     a_{-n} p_mu = p_{mu + part n},      a_n p_mu = n * m_n(mu) p_{mu - part n},
 
 and four families of half vertex-operator modes are built from them.  The
 symplectic mode Y_k is the w^{-k}-coefficient of
 
-    Y(w) = exp(sum_n a_{-n}/n * w^n) * exp(-sum_n a_n/n * (w^n + w^{-n})),
+    Y(w) = exp(sum_n a_{-n}/n * w^n) * exp(-sum_n a_n/n * (w^n + w^{-n})).
 
-and the other three kinds follow from it.  The involution omega: a_n -> -a_n
-(so omega p_mu = (-1)^len(mu) p_mu) maps Y(w) onto the dual W*(w), whose mode
-W*_k is its w^k-coefficient.  W = (1 - w^2) Y and Y* = (1 - w^2) W* keep the
-targets of Y and W*, so omega maps W(w) onto Y*(w) as well.  Only Y rows
-are built from the series, and the other three kinds follow by two rules:
+On symmetric functions the creation half is multiplication by
+H(w) = sum_r h_r w^r, and the annihilation half is E^perp(-w) E^perp(-1/w),
+with e_a^perp the adjoint of multiplication by e_a.  By the Pieri rules
+(Macdonald, ch. I) every step is a sum of Schur functions with coefficient
++-1, so Y_k s_mu is an integer vector with no denominator:
+
+    Y_k s_mu = sum_{a,b} (-1)^(a+b) h_{b-a-k} e_a^perp e_b^perp s_mu,
+
+that is, remove a vertical strip of size b, then one of size a, then add a
+horizontal strip of size b - a - k (`_mode_row_scaled`).  The other three
+kinds follow by two rules:
 
     W_k = Y_k - Y_{k+2},   X*_k = omega X_{-k} omega  (W* from Y, Y* from W).
 
-The X*_k row of p_mu is the X_{-k} row with slot nu multiplied by
-(-1)^(len(mu) + len(nu)) (`twist`): every |coefficient| is unchanged, so the
-X row's bound still holds, and the terms are the same, so the denominator is
-too.  A W row is a combination of two Y rows, bounded as in Packed rows.
-`compose` twists once per composition instead: for a starred outer kind it
-signs each inner coefficient q_nu by (-1)^len(nu), sums the plain rows at
--k, and twists the sum, so a starred row is packed and cached only as an
-inner row or for a bra, never as an outer row.  By linearity the sum, its
-bound and its denominator are those of the starred rows' sum.
-The half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z))
-is the only place the character variables enter: it maps a ket to
-Laurent-polynomial coefficients, and a matrix element <beta|Gamma_+|alpha>
-contracts those against bra coefficients.
+The involution omega: a_n -> -a_n maps Y(w) onto the dual W*(w), whose mode
+W*_k is its w^k-coefficient, and W(w) = (1 - w^2) Y(w) onto Y*(w).  On Schur
+functions omega is a signed conjugation, omega s_lambda = (-1)^|lambda|
+s_lambda', so X*_k s_mu = (-1)^|mu| omega X_{-k} s_mu'.  Every term of
+X_{-k} s_mu' has weight |mu| + k - 2a for some a, so the sign
+(-1)^(|mu| + |nu|) of each slot nu is the one constant (-1)^k.
 
-Both annihilation exponentials are one Taylor shift p_r -> p_r + c_r, read
-from the cached split table `_splits`.  The mode action on a basis vector is
-cached once per (kind, k, basis) triple as a packed row: integers over one
-denominator, held in a single Python int (Kronecker substitution on the
-coefficient vector), so a linear combination of rows is one big-integer
-multiply-add per row, done in C.
+The half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z)) is the
+only place the character variables enter.  It is a Taylor shift of the power
+sums (`_splits`), so `matrix_element` converts the integer Schur ket and bras
+to power sums at the end, through one cached character table (`_p_in_schur`,
+Murnaghan-Nakayama):
+
+    p_rho = sum_lambda chi^lambda(rho) s_lambda,
+    s_lambda = sum_rho chi^lambda(rho) p_rho / z_rho.
 
 Packed rows.  Basis vectors are numbered by weight: `pid(nu)` is the number
 of partitions of weight below |nu| plus the rank of nu in `partitions_of(|nu|)`,
@@ -49,51 +51,26 @@ is packed as
     N = sum_i c_i * 2^(B*i),    B = SLOT_BITS,
 
 so sum_k f_k N_k packs sum_k f_k v_k exactly, by linearity.  Every packed
-value carries an integer bound beta >= max_i |c_i|: a creation block's is its
-largest coefficient, a combination sum_k f_k N_k gets sum_k |f_k| beta_k,
-which bounds each of its slots by the triangle inequality, and a sum of values
-on disjoint slot ranges (a row's weights, see `_mode_row_scaled`) gets the
-largest of their bounds.  While beta < 2^(B-1) the packing is injective:
-N + sum_i 2^(B-1) * 2^(B*i) has the base-2^B digits c_i + 2^(B-1), all in
-[1, 2^B - 1], so no digit carries into the next, the c_i can be read back
-(`unpack`), and N == 0 exactly when every c_i is 0.  `certify` checks the
-bound of every packed value and raises `SlotOverflow` once it reaches
-2^(B-1), so no verdict is ever read from an integer that could hide a nonzero
-slot.  Nothing is modular or sampled.
-
-Y rows.  The annihilation stage of Y(w) turns p_mu into a sum of terms
-q w^p p_rest, one per split (kappa, rest, c) of `_splits` and power w^p of
-c_kappa, which `_annihilation_terms` caches per mu sorted by p.  A term
-reaches w^{-k} only through w-degree d = -k - p >= 0 of the creation
-exponential, so Y_k p_mu reads the prefix p <= -k, found by `bisect`.
-Degree d of the creation exponential has the denominator zlcm(d), the lcm of
-z_lambda over lambda |- d.  Adding a part 1 to lambda |- d gives a partition
-of d + 1 whose z is a multiple of z_lambda, so zlcm(d) divides zlcm(d + 1),
-and the lcm over the prefix is the zlcm of its largest degree: -k minus the
-first power.
-
-The slot width climbs a ladder of three rungs, `SLOT_WIDTHS` = (64, 128,
-256).  Packing starts at 64 bits, where every multiply-add works on half
-the bits.  When `certify` raises below the top rung, the outermost call
-holding packed values (`verify.run_suite`, `apply_mode`, `ket`,
-`matrix_element`) empties the packed caches, moves to the next rung and
-reruns from the start, so no value packed at one width meets one packed at
-another; at 256 bits the overflow is final.  The largest bound in the
-commutation suite is 63 bits on the weight-2 benchmark grid, which never
-widens, and 99 bits on the weight-6 acceptance grid, which runs at 128 bits
-after a short start at 64.  Weight 4 with degree_cap 10 passes 128 bits and
-runs at 256.
-
-Everything is exact and nothing is truncated: the shift is a finite sum over
-sub-multisets, and extracting one power of w bounds the weight the creation
-exponential adds.
+value carries an integer bound beta >= max_i |c_i|: a Pieri block's is 1,
+a combination sum_k f_k N_k gets sum_k |f_k| beta_k, which bounds each of its
+slots by the triangle inequality, and a sum of values on disjoint slot ranges
+(a row's weights) gets the largest of their bounds.  While beta < 2^(B-1) the
+packing is injective: N + sum_i 2^(B-1) * 2^(B*i) has the base-2^B digits
+c_i + 2^(B-1), all in [1, 2^B - 1], so no digit carries into the next, the
+c_i can be read back (`unpack`), and N == 0 exactly when every c_i is 0.
+`certify` checks the bound of every packed value and raises `SlotOverflow`
+once it reaches 2^(B-1), so no verdict is ever read from an integer that
+could hide a nonzero slot.  Nothing is modular or sampled.  One slot width
+serves every grid the project runs: the largest bound in the commutation
+suite is 11 bits at its acceptance grid and 14 bits at weight 9 with
+degree_cap 9.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
 
@@ -101,8 +78,7 @@ from .partitions import Partition, PartitionTooLong, partitions_of
 from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, dot, xvar, zvar
 
 # Coefficients are int/Fraction; after gamma_plus they are LaurentPolys.  The
-# operations below use only +, * and truthiness, so they accept either, and
-# plain ints too: kets are built as int vectors over one denominator.
+# operations below use only +, * and truthiness, so they accept either.
 FockVector = dict[tuple[int, ...], int | Fraction | LaurentPoly]
 
 
@@ -120,10 +96,7 @@ def vacuum() -> FockVector:
     return {(): 1}
 
 
-# Bits per packed slot, each a multiple of 8 (`unpack` reads bytes): packing
-# starts at the narrowest rung and `_widening` moves up once a bound needs it.
-SLOT_WIDTHS = (64, 128, 256)
-SLOT_BITS = SLOT_WIDTHS[0]
+SLOT_BITS = 16  # bits per packed slot, a multiple of 8 (`unpack` reads bytes)
 
 # Basis ids by weight: all partitions of weight 0, then of weight 1, ..., each
 # weight in `partitions_of` order, so a row of low weight packs into a short
@@ -144,15 +117,10 @@ def pid(nu: tuple[int, ...]) -> int:
     return i
 
 
-class _RowOverflow(SlotOverflow):
-    """A packed Fock value's bound reached half its slot; a wider slot may hold
-    it, unlike a Laurent-ring exponent overflow."""
-
-
 def certify(bound: int) -> int:
     """Return `bound`, or raise SlotOverflow where packing stops being injective."""
     if bound >> (SLOT_BITS - 1):
-        raise _RowOverflow(
+        raise SlotOverflow(
             f"packed slot bound of {bound.bit_length()} bits reaches the "
             f"{SLOT_BITS}-bit slot width"
         )
@@ -189,29 +157,6 @@ def unpack(value: int) -> list[tuple[int, int]]:
         if digit != zero:
             out.append((i, int.from_bytes(digit, "little") - half))
     return out
-
-
-@lru_cache(maxsize=None)
-def _odd_mask(bits: int, weight: int) -> tuple[int, int, int]:
-    """(bias, mask, odd bias) over the ids of weight <= `weight` in `bits`-bit
-    slots: 2^(bits-1) in every slot, all ones in each slot whose partition has
-    odd length, and 2^(bits-1) in those.  The width is part of the key, so a
-    mask built at one SLOT_BITS is never read at another."""
-    ids = range(pid((weight + 1,)))
-    bias = sum(1 << (bits * i + bits - 1) for i in ids)
-    mask = sum(((1 << bits) - 1) << (bits * i) for i in ids if len(PARTS[i]) % 2)
-    return bias, mask, bias & mask
-
-
-def twist(value: int) -> int:
-    """omega on a packed value over ids in PARTS whose bound is certified: the
-    slot of id i times (-1)^len(PARTS[i]).  Biasing makes every digit
-    c_i + 2^(B-1), so the odd-length slots are cut out whole by one mask."""
-    if not value:
-        return 0
-    top = PARTS[abs(value).bit_length() // SLOT_BITS]  # in the highest nonzero slot
-    bias, mask, odd_bias = _odd_mask(SLOT_BITS, sum(top))
-    return value - 2 * (((value + bias) & mask) - odd_bias)
 
 
 def _insert_part(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -272,8 +217,7 @@ def _splits(rho: tuple[int, ...]):
 
     over sub-multisets kappa of rho's parts, with c_kappa = prod_{r in kappa} c_r.
     The coefficient counts the ways to pick kappa's copies of each part among
-    rho's, so it is an integer: no 1/j! survives the expansion.  Both the
-    modes (c_r = +-(w^r + w^-r)) and Gamma_+ (c_r = p_r(x^{+-1}, z)) read it.
+    rho's, so it is an integer.  Gamma_+ reads it with c_r = p_r(x^{+-1}, z).
     """
     mults = [(r, rho.count(r)) for r in sorted(set(rho), reverse=True)]
     out = []
@@ -287,159 +231,155 @@ def _splits(rho: tuple[int, ...]):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _annihilation_wpoly(kappa: tuple[int, ...]):
-    """prod_{r in kappa} -(w^r + w^-r), Y(w)'s c_kappa, as ((power, int), ...)
-    by ascending power.
-
-    All terms share the sign (-1)^len(kappa), and a part r of multiplicity m
-    contributes (w^r + w^-r)^m = sum_j C(m, j) w^(r(2j - m)), so the product
-    is one convolution per distinct part."""
-    out = {0: (-1) ** len(kappa)}
-    for r in set(kappa):
-        m = kappa.count(r)
-        step = {r * (2 * j - m): comb(m, j) for j in range(m + 1)}
-        conv: dict[int, int] = {}
-        for p, q in out.items():
-            for s, b in step.items():
-                conv[p + s] = conv.get(p + s, 0) + q * b
-        out = conv
-    return tuple(sorted(out.items()))
+# --- Schur functions: Pieri and Murnaghan-Nakayama rules ---
 
 
 @lru_cache(maxsize=None)
-def _annihilation_terms(mu: tuple[int, ...]):
-    """Y(w)'s annihilation stage on p_mu: one term (p, rest, c * q) per split
-    (kappa, rest, c) and power w^p of c_kappa, sorted by p and held as three
-    parallel tuples (powers, rests, coefficients), so `bisect` reads the
-    powers and the rests stay shared with `_splits`."""
-    terms = sorted(
-        (p, rest, c * q) for kappa, rest, c in _splits(mu) for p, q in _annihilation_wpoly(kappa)
-    )
-    return tuple(zip(*terms))  # never empty: kappa = () gives the term (0, mu, 1)
+def _conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(p > i for p in mu) for i in range(mu[0])) if mu else ()
 
 
 @lru_cache(maxsize=None)
-def _zlcm(c: int) -> int:
-    """lcm of the symmetrization factors over all partitions of c."""
-    return lcm(*map(_zfactor, partitions_of(c)))
+def _vertical_strips(mu: tuple[int, ...]):
+    """Every nu with mu/nu a vertical strip, as ((nu, |mu/nu|), ...): in each
+    run of equal parts the strip takes the last j rows, 0 <= j <= its length."""
+    runs = [(r, mu.count(r)) for r in sorted(set(mu), reverse=True)]
+    out = []
+    for picks in product(*(range(m + 1) for _, m in runs)):
+        nu = ()
+        for (r, m), j in zip(runs, picks):
+            nu += (r,) * (m - j) + (r - 1,) * j
+        out.append((tuple(p for p in nu if p), sum(picks)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _creation_coeffs(c: int) -> tuple[int, ...]:
-    """zlcm(c)/z_parts for each partition of c, in `partitions_of` order."""
-    zc = _zlcm(c)
-    return tuple(zc // _zfactor(parts) for parts in partitions_of(c))
+def _lowered(mu: tuple[int, ...]):
+    """E^perp(-w) E^perp(-1/w) s_mu, Y(w)'s annihilation stage: one term
+    (a - b, rho, coefficient) per power w^(a-b) and rho reached by removing
+    a vertical b-strip and then a vertical a-strip, sorted by power and held
+    as three parallel tuples, so that `bisect` reads a prefix.  The sign
+    (-1)^(a+b) = (-1)^(|mu| - |rho|) is fixed by rho, so no two paths
+    cancel."""
+    terms: dict[tuple[int, tuple[int, ...]], int] = {}
+    for nu, b in _vertical_strips(mu):
+        for rho, a in _vertical_strips(nu):
+            terms[a - b, rho] = terms.get((a - b, rho), 0) + (-1) ** (a + b)
+    return tuple(zip(*((p, rho, c) for (p, rho), c in sorted(terms.items()))))
+
+
+def _horizontal_strips(rho: tuple[int, ...], r: int):
+    """Every lambda with lambda/rho a horizontal r-strip: the first row grows
+    freely, row i by at most rho_{i-1} - rho_i, and one new row by at most
+    the last part."""
+    padded = rho + (0,)
+    grown = [((), r)]  # (rows so far, boxes left)
+    for i, p in enumerate(padded):
+        cap = padded[i - 1] - p if i else r
+        grown = [
+            (lam + (p + x,), left - x) for lam, left in grown for x in range(min(cap, left) + 1)
+        ]
+    return [tuple(p for p in lam if p) for lam, left in grown if not left]
 
 
 @lru_cache(maxsize=None)
-def _creation_block(rest: tuple[int, ...], c: int) -> tuple[int, int, int]:
-    """sum over parts |- c of (zlcm(c)/z_parts) p_{rest + parts},
-    packed from the first id of its weight: (value, bound, that id).
-
-    Distinct parts give distinct rest + parts, so no two terms share a slot
-    and the bound is the largest coefficient.  With rest empty the slots are
-    the ranks in `partitions_of(c)`, since ids follow that order."""
-    coeffs = _creation_coeffs(c)
-    w = sum(rest) + c
+def _pieri_block(rho: tuple[int, ...], r: int) -> tuple[int, int]:
+    """h_r s_rho, every coefficient 1, packed from the first id of its
+    weight: (value, that id)."""
+    w = sum(rho) + r
     base = pid((w,) if w else ())  # (w,) comes first in partitions_of(w)
-    if rest:
-        ids = (pid(tuple(sorted(rest + parts, reverse=True))) - base for parts in partitions_of(c))
-        entries = zip(ids, coeffs)
-    else:
-        entries = enumerate(coeffs)
-    return pack(entries), certify(max(coeffs)), base
+    return pack((pid(lam) - base, 1) for lam in _horizontal_strips(rho, r)), base
 
 
 @lru_cache(maxsize=None)
-def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int, int]:
-    """X_k p_mu as a packed row (value, bound, denominator).
+def _border_strips(mu: tuple[int, ...], r: int):
+    """p_r s_mu as ((lambda, sign), ...): every lambda with lambda/mu a border
+    strip of size r, signed (-1)^(its rows - 1).  On the beta-numbers
+    mu_i + L - i (L = len(mu) + r rows) a border strip moves one bead up r
+    places onto a free one, and its rows less one are the beads it passes:
+    the rows from the bead's new place down to its old one each move up one
+    place and gain a box."""
+    padded = mu + (0,) * r
+    L = len(padded)
+    beta = [p + L - 1 - i for i, p in enumerate(padded)]  # descending
+    taken = set(beta)
+    out = []
+    top = 0  # the beads above b + r, a prefix since beta descends
+    for i, b in enumerate(beta):
+        if b + r in taken:
+            continue
+        while beta[top] > b + r:
+            top += 1
+        lam = (padded[:top] + (b + r - (L - 1 - top),)
+               + tuple(p + 1 for p in padded[top:i]) + padded[i + 1 :])
+        out.append((tuple(p for p in lam if p), -1 if (i - top) % 2 else 1))
+    return tuple(out)
 
-    A W*, W or Y* row derives from cached rows by the module docstring's
-    two rules.  A Y row is built from the series.  Its annihilation stage
-    is integral (see `_splits`), so the one shared denominator zl comes from
-    the creation exponential alone: each term (p, rest, q) of
-    `_annihilation_terms` with p <= -k leaves w-degree c = -k - p for the
-    creation exponential and adds q * (zl / zlcm(c)) times the cached
-    creation block of (rest, c).  Those terms are a prefix of the sorted
-    list, and zl is the zlcm of its largest degree (see Y rows in the module
-    docstring).  Blocks are summed per weight as short ints and shifted into
-    place once, and since weights occupy disjoint slots the row's bound is
-    the largest per-weight bound (see the module docstring).
+
+@lru_cache(maxsize=None)
+def _p_in_schur(rho: tuple[int, ...]):
+    """p_rho = sum_lambda chi^lambda(rho) s_lambda as ((lambda, chi), ...),
+    nonzero chi only: p_rho = p_{rho_1} p_{rho_2, ...}, and p_r adds border
+    strips (Murnaghan-Nakayama).  Read as columns, this is the character
+    table, and s_lambda = sum_rho chi^lambda(rho) p_rho / z_rho."""
+    if not rho:
+        return (((), 1),)
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c in _p_in_schur(rho[1:]):
+        for lam, sign in _border_strips(mu, rho[0]):
+            out[lam] = out.get(lam, 0) + sign * c
+    return tuple((lam, c) for lam, c in out.items() if c)
+
+
+def schur_to_power_sums(vec: dict[tuple[int, ...], int]) -> list[tuple[tuple[int, ...], int]]:
+    """sum_lambda c_lambda s_lambda = sum_rho (n_rho / z_rho) p_rho for an int
+    Schur vector: [(rho, n_rho), ...], nonzero n_rho only, by weight."""
+    out = []
+    for w in sorted({sum(lam) for lam in vec}):
+        for rho in partitions_of(w):
+            n = sum(chi * vec.get(lam, 0) for lam, chi in _p_in_schur(rho))
+            if n:
+                out.append((rho, n))
+    return out
+
+
+# --- mode rows ---
+
+
+@lru_cache(maxsize=None)
+def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int]:
+    """X_k s_mu as a packed integer row (value, bound).
+
+    A W*, W or Y* row derives from cached rows by the module docstring's two
+    rules; the starred rows conjugate every slot of the plain row at -k on
+    mu' and sign it by (-1)^k.  A Y row reads the prefix of `_lowered(mu)`
+    with w-power a - b <= -k, adds the horizontal strips of h_{b-a-k} to each
+    of its terms, sums the blocks per weight as short ints and shifts each
+    sum into place once.  Weights occupy disjoint slots, so the row's bound
+    is the largest per-weight bound.
     """
-    if kind in _OMEGA_OF:  # X*_k = omega X_{-k} omega, and omega p_mu = (-1)^len(mu) p_mu
-        value, bound, den = _mode_row_scaled(_OMEGA_OF[kind], -k, mu)
-        return (-twist(value) if len(mu) % 2 else twist(value)), bound, den
+    if kind in _OMEGA_OF:
+        value, bound = _mode_row_scaled(_OMEGA_OF[kind], -k, _conjugate(mu))
+        sign = -1 if k % 2 else 1
+        return pack((pid(_conjugate(PARTS[i])), sign * c) for i, c in unpack(value)), bound
     if kind == "W":  # W_k = Y_k - Y_{k+2}
-        rows = [_mode_row_scaled("Y", j, mu) for j in (k, k + 2)]
-        den = lcm(*(d for *_, d in rows))
-        return (*combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
-    target = -k  # Y_k is the w^{-k} coefficient of Y(w)
-    powers, rests, coeffs = _annihilation_terms(mu)
-    n = bisect_right(powers, target)
-    if not n:
-        return 0, 0, 1
-    zl = _zlcm(target - powers[0])
+        (v1, b1), (v2, b2) = _mode_row_scaled("Y", k, mu), _mode_row_scaled("Y", k + 2, mu)
+        return combine(((1, v1, b1), (-1, v2, b2)))
+    powers, rests, coeffs = _lowered(mu)
     graded: dict[int, list] = {}
-    for p, rest, q in zip(powers[:n], rests, coeffs):
-        deg = target - p
-        value, bound, base = _creation_block(rest, deg)
-        graded.setdefault(base, []).append((q * (zl // _zlcm(deg)), value, bound))
+    for p, rho, c in zip(powers[: bisect_right(powers, -k)], rests, coeffs):
+        value, base = _pieri_block(rho, -k - p)
+        graded.setdefault(base, []).append((c, value, 1))
     sums = [(base, *combine(ts)) for base, ts in graded.items()]
     value = sum(v << (SLOT_BITS * base) for base, v, _ in sums)
-    return value, max((b for *_, b in sums), default=0), zl
+    return value, max((b for *_, b in sums), default=0)
 
 
 @lru_cache(maxsize=None)
 def _row_entries(kind: str, k: int, mu: tuple[int, ...]):
-    """X_k p_mu unpacked as (((nu, int), ...), denominator), for the readers
-    that go through a row entry by entry: inner rows of `compose`, kets, bras."""
-    value, _, den = _mode_row_scaled(kind, k, mu)
-    return tuple((PARTS[i], v) for i, v in unpack(value)), den
-
-
-_PACKED_CACHES = (_odd_mask, _creation_block, _mode_row_scaled)
-_holding = False  # whether a `_widening` call is running
-
-
-def _use_width(bits: int) -> None:
-    """Pack in `bits`-bit slots from now on.  Every cache of packed values is
-    emptied in the same step, so no value packed at one width meets one
-    packed at another; unpacked rows, kets, bras and ids mean the same at
-    every width and stay."""
-    global SLOT_BITS
-    for cache in _PACKED_CACHES:
-        cache.cache_clear()
-    SLOT_BITS = bits
-
-
-def _widening(fn):
-    """Run `fn` as the outermost holder of packed values: when a Fock slot
-    overflows below the widest rung of SLOT_WIDTHS (64, 128, 256), move to
-    the next rung and rerun the whole call, as many times as it overflows.
-    A call made while another holder runs is passed through, so that holder
-    reruns instead.  At the widest rung the overflow is final, and a
-    Laurent-ring exponent overflow is never caught."""
-
-    @wraps(fn)
-    def run(*args, **kwargs):
-        global _holding
-        if _holding:
-            return fn(*args, **kwargs)
-        _holding = True
-        try:
-            while True:
-                try:
-                    return fn(*args, **kwargs)
-                except _RowOverflow:
-                    wider = [bits for bits in SLOT_WIDTHS if bits > SLOT_BITS]
-                    if not wider:
-                        raise
-                    _use_width(wider[0])
-        finally:
-            _holding = False
-
-    return run
+    """X_k s_mu unpacked as ((nu, int), ...), for the readers that go through
+    a row entry by entry: inner rows of `compose`, kets, bras."""
+    return tuple((PARTS[i], v) for i, v in unpack(_mode_row_scaled(kind, k, mu)[0]))
 
 
 _KIND_SET = frozenset(MODE_KINDS)
@@ -451,61 +391,45 @@ def _check_kinds(*kinds: str) -> None:
         raise ValueError(f"unknown mode kind {unknown[0]!r}")
 
 
-@_widening
 def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
-    """Apply the mode X_k of the given kind to a vector, exactly."""
+    """Apply the mode X_k of the given kind to a power-sum vector, exactly."""
     _check_kinds(kind)
 
-    def row(mu):
-        entries, den = _row_entries(kind, k, mu)
-        return [(nu, Fraction(v, den)) for nu, v in entries]
+    def row(rho):
+        out: dict[tuple[int, ...], int] = {}
+        for lam, chi in _p_in_schur(rho):
+            for nu, c in _row_entries(kind, k, lam):
+                out[nu] = out.get(nu, 0) + chi * c
+        return [(sigma, Fraction(n, _zfactor(sigma))) for sigma, n in schur_to_power_sums(out)]
 
     return _linear(vec, row)
 
 
 def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
-    """X_out X_in p_mu as a packed row (value, bound, denominator): the inner
-    row is unpacked, and the outer rows are summed as packed ints over the
-    lcm of their denominators, kept as a running lcm that rescales the sums
-    so far when a row brings a new factor.  A starred outer kind signs each
-    inner coefficient in the same loop and is twisted once, after the sum
-    (see the module docstring):
-
-        sum_nu q_nu X*_k p_nu = omega sum_nu (-1)^len(nu) q_nu X_{-k} p_nu."""
+    """X_out X_in s_mu as a packed row (value, bound): the inner row is
+    unpacked, and the cached outer rows are summed as packed ints."""
     _check_kinds(kind_out, kind_in)  # first: an empty inner row reads no outer row
-    inner, d_in = _row_entries(kind_in, k_in, mu)
-    star = kind_out in _OMEGA_OF
-    if star:
-        kind_out, k_out = _OMEGA_OF[kind_out], -k_out
     value = bound = 0
-    den = 1  # the lcm of the outer denominators so far, which the sums are over
-    for nu, q in inner:
-        v, b, s = _mode_row_scaled(kind_out, k_out, nu)
-        if s != den:
-            if den % s:  # a new factor: rescale the sums so far
-                g = lcm(den, s) // den
-                value, bound, den = value * g, bound * g, den * g
-            q *= den // s
-        if star and len(nu) % 2:
-            q = -q
+    for nu, q in _row_entries(kind_in, k_in, mu):
+        v, b = _mode_row_scaled(kind_out, k_out, nu)
         value += q * v
         bound += abs(q) * b
-    return (twist(value) if star else value), certify(bound), d_in * den
+    return value, certify(bound)
 
 
 @lru_cache(maxsize=None)
 def _ket_cached(kind: str, parts: tuple[int, ...]):
-    """Creation modes applied inside-out to the vacuum: (((mu, int), ...), den)."""
-    vec, den = vacuum(), 1
-    for part in reversed(parts):  # rows over their lcm d, with int weights
-        rows = {mu: _row_entries(kind, -part, mu) for mu in vec}
-        d = lcm(*(rd for _, rd in rows.values()))
-        vec = _linear(vec, lambda mu: [(nu, v * (d // rows[mu][1])) for nu, v in rows[mu][0]])
-        den *= d
-    return tuple(vec.items()), den
+    """Creation modes applied inside-out to the vacuum as an int Schur
+    vector, then converted to power sums over one denominator:
+    (((rho, int), ...), den)."""
+    vec = vacuum()
+    for part in reversed(parts):
+        vec = _linear(vec, lambda mu: _row_entries(kind, -part, mu))
+    terms = schur_to_power_sums(vec)
+    den = lcm(*(_zfactor(rho) for rho, _ in terms))
+    return tuple((rho, n * (den // _zfactor(rho))) for rho, n in terms), den
 
 
-@_widening
 def ket(lam: Partition, family: str) -> FockVector:
     """The highest-weight vector for lam: creation modes applied inside-out.
 
@@ -513,7 +437,7 @@ def ket(lam: Partition, family: str) -> FockVector:
     contribute index-0 modes (which fix the vacuum but matter mid-word).
     """
     entries, den = _ket_cached(_PLAIN_OF[family], lam.padded(lam.declared_len))
-    return {mu: Fraction(v, den) for mu, v in entries}
+    return {rho: Fraction(v, den) for rho, v in entries}
 
 
 @lru_cache(maxsize=None)
@@ -543,20 +467,22 @@ def gamma_plus(n: int, m: int, vec: FockVector) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _bra_on_basis(star: str, word: tuple[int, ...], nu: tuple[int, ...]):
-    """<0| X*_{-b_L} ... X*_{-b_1} p_nu for word = (b_1, ..., b_L), as
-    (int, denominator).
+def _bra_on_basis(star: str, word: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """<0| X*_{-b_L} ... X*_{-b_1} s_nu for word = (b_1, ..., b_L).
 
     Recursing on the word's tail shares every suffix between bras."""
     if not word:
-        return int(nu == ()), 1
-    entries, den = _row_entries(star, -word[0], nu)
-    tails = [(v, *_bra_on_basis(star, word[1:], rho)) for rho, v in entries]
-    d = lcm(*(td for _, _, td in tails))
-    return sum(v * t * (d // td) for v, t, td in tails), den * d
+        return int(nu == ())
+    entries = _row_entries(star, -word[0], nu)
+    return sum(v * _bra_on_basis(star, word[1:], rho) for rho, v in entries)
 
 
-@_widening
+@lru_cache(maxsize=None)
+def _bra_on_power_sum(star: str, word: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """The same bra on p_rho = sum_lambda chi^lambda(rho) s_lambda."""
+    return sum(chi * _bra_on_basis(star, word, lam) for lam, chi in _p_in_schur(rho))
+
+
 def matrix_element(
     beta: Partition, n: int, m: int, alpha: Partition, family: str
 ) -> LaurentPoly:
@@ -571,21 +497,19 @@ def matrix_element(
         raise PartitionTooLong(f"{alpha.parts} needs more than {l + n + m} rows")
     star, word = _STAR_OF[family], beta.padded(l)
     entries, den = _ket_cached(_PLAIN_OF[family], alpha.padded(l + n + m))
-    # contract the int scalar of each removed multiset kappa over one common
+    # contract the int scalar of each removed multiset kappa over the ket's
     # denominator, scale-add each distinct P_kappa once, and divide the whole
     # polynomial once: one kappa's scalar need not be integral where the sum is
-    terms = [(kappa, f * c, _bra_on_basis(star, word, rest))
-             for rho, f in entries for kappa, rest, c in _splits(rho)]
-    common = lcm(*(bd for _, _, (b, bd) in terms if b))
     scalars: dict[tuple[int, ...], int] = {}
-    for kappa, fc, (b, bd) in terms:
-        if b:
-            scalars[kappa] = scalars.get(kappa, 0) + fc * b * (common // bd)
+    for rho, f in entries:
+        for kappa, rest, c in _splits(rho):
+            b = _bra_on_power_sum(star, word, rest)
+            if b:
+                scalars[kappa] = scalars.get(kappa, 0) + f * c * b
     out = dot(
         (_power_sum_product(n, m, kappa), LaurentPoly.constant(s))
         for kappa, s in scalars.items()
     )
-    den *= common  # one exact divmod per (int) coefficient of out
     exact = ((key, c, *divmod(c, den)) for key, c in out._terms.items())
     return LaurentPoly({key: Fraction(c, den) if r else q for key, c, q, r in exact}, out._bound)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from spochar import characters, clear_caches, fock
+from spochar import characters
 from spochar.partitions import Partition
 from spochar.ring import ONE
 
@@ -18,12 +18,3 @@ def broken_universal(monkeypatch):
         return got + ONE if lam == Partition((2, 1)) else got
 
     monkeypatch.setattr(characters, "universal", broken)
-
-
-@pytest.fixture(autouse=True)
-def narrowest_slots():
-    """Every test starts packing Fock rows at the narrowest slot width: a test
-    that widened them empties the caches behind it."""
-    yield
-    if fock.SLOT_BITS != fock.SLOT_WIDTHS[0]:
-        clear_caches()

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spochar import fock
 from spochar.cli import main
 from spochar.verify import SUITE_NAMES, CheckReport, Grid
 
@@ -318,15 +317,23 @@ def test_exponent_overflow_exits_2(capsys, narrow_monomial_slots):
     # det [[h3, h4], [h2, h3]] has exponent bound 6 < 8; [[h4, h5], [h3, h4]] has 8
     code, out = run(capsys, "compute", "--family", "sp", "--n", "1", "--m", "1", "--outer", "3,3")
     assert code == 0 and out == "x1^3*z1^3 + x1*z1^3 + x1^-1*z1^3 + x1^-3*z1^3\n"
-    for argv in (
-        ["compute", "--family", "sp", "--n", "1", "--m", "1", "--outer", "4,4"],
-        ["verify", "--suite", "newton"],
+    for argv, prefix in (
+        (["compute", "--family", "sp", "--n", "1", "--m", "1", "--outer", "4,4"], "error: "),
+        (["verify", "--suite", "newton"], "error: suite newton: "),
     ):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: exponent bound ") and "Traceback" not in err
-    assert fock.SLOT_BITS == fock.SLOT_WIDTHS[0]  # wider Fock slots cannot cure it
+        assert err.startswith(prefix + "exponent bound ") and "Traceback" not in err
+
+
+def test_a_usage_error_mid_suite_names_the_suite(capsys):
+    # n + m reaches 7 first in branching_sp; the suites before it pass
+    grid = '{"n_range": [0, 5], "max_weight": 1}'
+    assert main(["verify", "--suite", "all", "--grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: suite branching_sp: n + m = 7 > 6\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,10 +7,9 @@ so the two are compared directly here on a small sample.
 import hashlib
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spochar import clear_caches, cli, fock
@@ -438,8 +437,8 @@ def test_mode_rows_match_the_series():
                 for k in range(-top, top + 1):
                     got = apply_mode(kind, k, {mu: 1})
                     assert got == rows.get(sign * k, {}), (kind, k, mu)
-                    # built, folded or twisted: the certified bound covers every slot
-                    value, bound, _ = fock._mode_row_scaled(kind, k, mu)
+                    # built, folded or conjugated: the certified bound covers every slot
+                    value, bound = fock._mode_row_scaled(kind, k, mu)
                     slots = [abs(c) for _, c in fock.unpack(value)]
                     assert bound >= max(slots, default=0), (kind, k, mu)
 
@@ -462,7 +461,13 @@ def test_compose_rejects_an_unknown_kind(act):
 # --- the integer composition path behind the commutation suite ---
 
 
+def _in_power_sums(vec):
+    """An int Schur vector {lambda: c} as a power-sum vector."""
+    return {rho: Fraction(n, fock._zfactor(rho)) for rho, n in fock.schur_to_power_sums(vec)}
+
+
 def test_compose_matches_apply_mode_twice():
+    # compose acts on s_mu in the Schur basis, apply_mode on its power sums
     pairs = (
         ("Y", "Y"), ("Y", "Ystar"), ("W", "Wstar"), ("Wstar", "W"),
         ("Ystar", "Ystar"), ("Ystar", "Y"), ("Wstar", "Wstar"),
@@ -470,146 +475,45 @@ def test_compose_matches_apply_mode_twice():
     for kind_out, kind_in in pairs:
         for k_out, k_in in ((-2, 1), (0, -1), (1, 2), (-1, -1)):
             for mu in ((), (1,), (2, 1), (1, 1, 1)):
-                value, _, den = fock.compose(kind_out, k_out, kind_in, k_in, mu)
-                got = {fock.PARTS[i]: Fraction(v, den) for i, v in fock.unpack(value)}
-                want = apply_mode(kind_out, k_out, apply_mode(kind_in, k_in, {mu: 1}))
+                value, _ = fock.compose(kind_out, k_out, kind_in, k_in, mu)
+                got = _in_power_sums({fock.PARTS[i]: v for i, v in fock.unpack(value)})
+                s_mu = _in_power_sums({mu: 1})
+                want = apply_mode(kind_out, k_out, apply_mode(kind_in, k_in, s_mu))
                 assert got == want, (kind_out, k_out, kind_in, k_in, mu)
 
 
 def test_compose_equals_the_sum_of_cached_outer_rows():
-    # a starred outer kind is summed as its plain kind and twisted once; the
-    # result must be the very ints of summing the starred rows themselves
+    # one loop for every kind: a starred outer row is cached like a plain one
     for kind_out, kind_in in product(MODE_KINDS, repeat=2):
         for k_out, k_in in product(range(-3, 4), repeat=2):
             for mu in (mu for w in range(4) for mu in partitions_of(w)):
-                inner, d_in = fock._row_entries(kind_in, k_in, mu)
-                outer = [fock._mode_row_scaled(kind_out, k_out, nu) for nu, _ in inner]
-                den = lcm(*[s for _, _, s in outer])
-                value, bound = fock.combine(
-                    (qi * (den // s), v, b) for (_, qi), (v, b, s) in zip(inner, outer)
+                inner = fock._row_entries(kind_in, k_in, mu)
+                want = fock.combine(
+                    (q, *fock._mode_row_scaled(kind_out, k_out, nu)) for nu, q in inner
                 )
                 got = fock.compose(kind_out, k_out, kind_in, k_in, mu)
-                assert got == (value, bound, d_in * den), (kind_out, k_out, kind_in, k_in, mu)
+                assert got == want, (kind_out, k_out, kind_in, k_in, mu)
 
 
-# --- the prefix-read Y row against the filter over every split ---
+# --- the change of basis at the public boundary ---
 
 
-def _enumerated_wpoly(kappa):
-    """prod_{r in kappa} -(w^r + w^-r) by its 2^len(kappa) choices of signs."""
-    sign = (-1) ** len(kappa)
-    out = {}
-    for signs in product((1, -1), repeat=len(kappa)):
-        p = sum(s * r for s, r in zip(signs, kappa))
-        out[p] = out.get(p, 0) + sign
-    return tuple(sorted(out.items()))
+def test_character_table_is_orthonormal():
+    # sum_rho chi^lam(rho) chi^mu(rho) / z_rho = delta_{lam, mu}
+    for w in range(9):
+        chi = {rho: dict(fock._p_in_schur(rho)) for rho in partitions_of(w)}
+        for lam, mu in product(partitions_of(w), repeat=2):
+            total = sum(
+                Fraction(col.get(lam, 0) * col.get(mu, 0), fock._zfactor(rho))
+                for rho, col in chi.items()
+            )
+            assert total == (lam == mu), (lam, mu)
 
 
-def _filtered_row(kind, k, mu, memo):
-    """X_k p_mu as (value, bound, den) by the direct expansion: every split's
-    powers filtered at k, the denominator the lcm over every degree, each
-    creation block sorted into place."""
-    if (kind, k, mu) in memo:
-        return memo[kind, k, mu]
-    if kind in fock._OMEGA_OF:
-        value, bound, den = _filtered_row(fock._OMEGA_OF[kind], -k, mu, memo)
-        row = (-fock.twist(value) if len(mu) % 2 else fock.twist(value)), bound, den
-    elif kind == "W":
-        rows = [_filtered_row("Y", j, mu, memo) for j in (k, k + 2)]
-        den = lcm(*(d for *_, d in rows))
-        row = (*fock.combine((f * den // d, v, b) for f, (v, b, d) in zip((1, -1), rows)), den)
-    else:
-        target = -k
-        terms = [
-            (rest, c * q, target - p)
-            for kappa, rest, c in fock._splits(mu)
-            for p, q in _enumerated_wpoly(kappa)
-            if p <= target
-        ]
-        zl = lcm(*(fock._zlcm(deg) for _, _, deg in terms))
-        graded = {}
-        for rest, q, deg in terms:
-            w = sum(rest) + deg
-            base = fock.pid((w,) if w else ())
-            entries = [
-                (fock.pid(tuple(sorted(rest + parts, reverse=True))) - base,
-                 fock._zlcm(deg) // fock._zfactor(parts))
-                for parts in partitions_of(deg)
-            ]
-            block = fock.pack(entries), max(c for _, c in entries)
-            graded.setdefault(base, []).append((q * (zl // fock._zlcm(deg)), *block))
-        sums = [(base, *fock.combine(ts)) for base, ts in graded.items()]
-        value = sum(v << (fock.SLOT_BITS * base) for base, v, _ in sums)
-        row = value, max((b for *_, b in sums), default=0), zl
-    memo[kind, k, mu] = row
-    return row
-
-
-@pytest.mark.parametrize("bits", [64, 128])
-def test_mode_rows_match_the_filter_over_every_split(monkeypatch, bits):
-    monkeypatch.setattr(fock, "SLOT_WIDTHS", (bits,))
-    clear_caches()
-    assert fock.SLOT_BITS == bits
-    memo = {}
-    for kind in MODE_KINDS:
-        for k in range(-8, 9):
-            for mu in (mu for w in range(7) for mu in partitions_of(w)):
-                want = _filtered_row(kind, k, mu, memo)
-                assert fock._mode_row_scaled(kind, k, mu) == want, (bits, kind, k, mu)
-    monkeypatch.undo()
-    clear_caches()
-
-
-def test_zlcm_divides_the_next_degree():
-    # so a Y row's one denominator is the zlcm of its largest degree
-    for d in range(25):
-        assert fock._zlcm(d + 1) % fock._zlcm(d) == 0, d
-
-
-def test_annihilation_wpoly_matches_the_sign_enumeration():
-    for w in range(11):
-        for kappa in partitions_of(w):
-            assert fock._annihilation_wpoly(kappa) == _enumerated_wpoly(kappa), kappa
-
-
-# caches of fock whose values mean the same at every slot width
-_WIDTH_FREE_CACHES = {
-    "_zfactor", "_splits", "_annihilation_wpoly", "_annihilation_terms", "_zlcm",
-    "_creation_coeffs", "_row_entries", "_ket_cached", "_power_sum_value",
-    "_power_sum_product", "_bra_on_basis",
-}
-
-
-def test_every_fock_cache_is_width_free_or_emptied_on_widening(monkeypatch):
-    from spochar.verify import Grid, run_suite
-
-    caches = {
-        name: obj for name, obj in vars(fock).items()
-        if hasattr(obj, "cache_clear") and obj.__module__ == fock.__name__
-    }
-    packed = {fn.__name__ for fn in fock._PACKED_CACHES}
-    assert set(caches) == _WIDTH_FREE_CACHES | packed
-    assert not _WIDTH_FREE_CACHES & packed
-    clear_caches()
-    assert run_suite("commutation", Grid(max_weight=1)).passed
-    assert fock._annihilation_terms.cache_info().currsize
-    assert fock._creation_coeffs.cache_info().currsize
-    # the row-path caches filled at 64 bits hold the same values at 16
-    basis = [mu for w in range(4) for mu in partitions_of(w)]
-
-    def tables():
-        return (
-            [fock._annihilation_terms(mu) for mu in basis],
-            [fock._creation_coeffs(c) for c in range(8)],
-        )
-
-    wide = tables()
-    monkeypatch.setattr(fock, "SLOT_WIDTHS", (16,))
-    clear_caches()
-    assert tables() == wide
-    monkeypatch.undo()
-    clear_caches()
-    assert all(cache.cache_info().currsize == 0 for cache in caches.values())
+def test_power_sums_to_schur_and_back():
+    for w in range(9):
+        for rho in partitions_of(w):
+            assert _in_power_sums(dict(fock._p_in_schur(rho))) == {rho: 1}, rho
 
 
 # --- packed rows ---
@@ -617,45 +521,18 @@ def test_every_fock_cache_is_width_free_or_emptied_on_widening(monkeypatch):
 _HALF = 1 << (fock.SLOT_BITS - 1)
 
 
-def _slot_vectors(bits):
-    half = 1 << (bits - 1)
-    return st.dictionaries(
-        st.integers(0, 60), st.integers(1 - half, half - 1).filter(bool), max_size=12
+@given(
+    st.dictionaries(
+        st.integers(0, 60), st.integers(1 - _HALF, _HALF - 1).filter(bool), max_size=12
     )
-
-
-# (slot width, vector) at every rung of the slot-width ladder
-rung_vectors = st.sampled_from(fock.SLOT_WIDTHS).flatmap(
-    lambda bits: st.tuples(st.just(bits), _slot_vectors(bits))
 )
-
-
-def at_every_rung(*edges):
-    """Pin each edge vector, a function of the half slot, as a Hypothesis
-    example at every rung."""
-
-    def pin(test):
-        for bits in fock.SLOT_WIDTHS:
-            for edge in edges:
-                test = example((bits, edge(1 << (bits - 1))))(test)
-        return test
-
-    return pin
-
-
-@given(rung_vectors)
-@at_every_rung(
-    lambda half: {},
-    lambda half: {0: -1},
-    lambda half: {3: 5, 7: 1 - half},
-    lambda half: {0: half - 1, 1: 1 - half, 2: half - 1},
-)
-def test_unpack_inverts_pack(rung_vec):
-    bits, vec = rung_vec
+@example({})
+@example({0: -1})
+@example({3: 5, 7: 1 - _HALF})
+@example({0: _HALF - 1, 1: 1 - _HALF, 2: _HALF - 1})
+def test_unpack_inverts_pack(vec):
     entries = sorted(vec.items())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fock, "SLOT_BITS", bits)
-        assert fock.unpack(fock.pack(entries)) == entries
+    assert fock.unpack(fock.pack(entries)) == entries
 
 
 def test_certify_stops_at_half_the_slot():
@@ -666,122 +543,24 @@ def test_certify_stops_at_half_the_slot():
 
 @pytest.fixture
 def narrow_slots(monkeypatch):
-    """Packed values built with 16-bit slots and no wider rung to move to;
-    every cache is emptied around the test so that no row of either width
-    outlives it."""
-    monkeypatch.setattr(fock, "SLOT_WIDTHS", (16,))
+    """Packed values built with 8-bit slots; every cache is emptied around
+    the test so that no row of either width outlives it."""
     clear_caches()
-    assert fock.SLOT_BITS == 16
+    monkeypatch.setattr(fock, "SLOT_BITS", 8)
     yield
     monkeypatch.undo()
     clear_caches()
 
 
 def test_narrow_slots_raise_instead_of_a_verdict(narrow_slots, capsys):
+    # the weight-2 grid's largest bound is 144, past 2^7
     from spochar.verify import Grid, run_suite
 
+    assert run_suite("commutation", Grid(max_weight=1)).passed
     with pytest.raises(fock.SlotOverflow):
-        run_suite("commutation", Grid(max_weight=1))
-    code = cli.main(["verify", "--suite", "commutation", "--grid", '{"max_weight": 1}'])
+        run_suite("commutation", Grid(max_weight=2))
+    code = cli.main(["verify", "--suite", "commutation", "--grid", '{"max_weight": 2}'])
     out, err = capsys.readouterr()
-    assert code == 2
-    assert "PASS" not in out and "slot" in err
-
-
-def test_widening_never_changes_a_result(monkeypatch):
-    # each call overflows a 64-bit slot, so it reruns at 128 bits, and must
-    # return what a run that starts at 128 bits returns
-    from spochar.verify import Grid, run_suite
-
-    calls = {
-        "commutation": lambda: run_suite("commutation", Grid(max_weight=3)).to_json(),
-        "apply_mode": lambda: apply_mode("Y", -8, {(3, 3, 3, 3): 1}),
-        "ket": lambda: ket(P((8, 6, 4)), "sp"),
-    }
-    for name, call in calls.items():
-        clear_caches()
-        assert fock.SLOT_BITS == 64
-        widened = call()
-        assert fock.SLOT_BITS == 128, name
-        with monkeypatch.context() as mp:
-            mp.setattr(fock, "SLOT_WIDTHS", (128,))
-            clear_caches()
-            assert call() == widened, name
-
-
-def test_widening_climbs_every_rung_in_one_call(monkeypatch):
-    # 16 and 32 bits both overflow at weight 1, so one call climbs two rungs
-    # and must return what a run that starts at 128 bits returns
-    from spochar.verify import Grid, run_suite
-
-    def run(widths):
-        with monkeypatch.context() as mp:
-            mp.setattr(fock, "SLOT_WIDTHS", widths)
-            clear_caches()
-            rungs = [fock.SLOT_BITS]
-            use_width = fock._use_width
-            mp.setattr(fock, "_use_width", lambda bits: (rungs.append(bits), use_width(bits)))
-            report = run_suite("commutation", Grid(max_weight=1)).to_json()
-        clear_caches()
-        return rungs, report
-
-    rungs, climbed = run((16, 32, 128))
-    assert rungs == [16, 32, 128]
-    assert run((128,)) == ([128], climbed)
-
-
-def test_the_ladder_tops_out_at_256_bits():
-    # a 200-bit bound overflows 64- and 128-bit slots and is certified at
-    # 256 bits; a 256-bit bound is final there
-    clear_caches()
-    certified = fock._widening(lambda: (fock.certify(1 << 199), fock.SLOT_BITS))
-    assert certified() == (1 << 199, 256)
-    with pytest.raises(fock.SlotOverflow, match="256-bit"):
-        fock._widening(fock.certify)(1 << 255)
-    clear_caches()
-
-
-# --- the omega twist of packed values ---
-
-
-def _assert_twist_flips_odd_lengths(vec):
-    fock.pid((8,))  # ids 0..66 name partitions, so every strategy id has a length
-    entries = sorted(vec.items())
-    flipped = [(i, -c if len(fock.PARTS[i]) % 2 else c) for i, c in entries]
-    assert fock.twist(fock.pack(entries)) == fock.pack(flipped)
-
-
-@given(rung_vectors)
-@at_every_rung(
-    lambda half: {},
-    lambda half: {0: 5},
-    lambda half: {60: 1 - half},
-    lambda half: {1: half - 1, 2: 1 - half, 3: half - 1, 4: 1 - half},
-)
-def test_twist_flips_the_odd_length_slots(rung_vec):
-    bits, vec = rung_vec
-    with pytest.MonkeyPatch.context() as mp:  # twist masks are keyed by width
-        mp.setattr(fock, "SLOT_BITS", bits)
-        _assert_twist_flips_odd_lengths(vec)
-
-
-_HALF16 = 1 << 15
-narrow_slot_vectors = _slot_vectors(16)
-
-
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(vec=narrow_slot_vectors)
-@example(vec={})
-@example(vec={0: 5})
-@example(vec={60: 1 - _HALF16})
-@example(vec={1: _HALF16 - 1, 2: 1 - _HALF16, 3: _HALF16 - 1, 4: 1 - _HALF16})
-def test_twist_flips_the_odd_length_slots_in_narrow_slots(narrow_slots, vec):
-    _assert_twist_flips_odd_lengths(vec)
-
-
-def test_twist_masks_are_keyed_by_slot_width(monkeypatch):
-    # no cache is emptied between the widths: a mask built for the default
-    # slots must not be read for 16-bit ones
-    _assert_twist_flips_odd_lengths({1: 7, 5: -3, 40: 2})
-    monkeypatch.setattr(fock, "SLOT_BITS", 16)
-    _assert_twist_flips_odd_lengths({1: 7, 5: -3, 40: 1 - _HALF16})
+    assert code == 2 and out == ""
+    assert err.startswith("error: suite commutation: packed slot bound of 8 bits reaches the 8-bit")
+    assert "Traceback" not in err

@@ -205,10 +205,7 @@ def test_each_suite_passes_on_small_grid(name, grid, count):
 def test_clear_caches_empties_every_cache_and_keeps_reports():
     names = ("commutation", "fock_vs_determinant")
     first = [run_suite(name, SMALL).to_json() for name in names]
-    fock.apply_mode("Y", -8, {(3, 3, 3, 3): 1})  # its bound needs 128-bit slots
-    assert fock.SLOT_BITS == 128
     clear_caches()
-    assert fock.SLOT_BITS == fock.SLOT_WIDTHS[0]
     caches = [
         obj
         for info in pkgutil.iter_modules(spochar.__path__)
@@ -219,16 +216,6 @@ def test_clear_caches_empties_every_cache_and_keeps_reports():
     assert all(c.cache_info().currsize == 0 for c in caches)
     assert not fock.PARTS
     assert [run_suite(name, SMALL).to_json() for name in names] == first
-
-
-def test_commutation_caches_no_starred_outer_row():
-    # a starred outer row is one twist of a sum of plain rows, so a starred
-    # row is cached only as an inner row (5839 rows on the benchmark grid
-    # when every starred outer row was cached as well)
-    clear_caches()
-    assert run_suite("commutation", Grid(max_weight=2)).passed
-    assert fock._mode_row_scaled.cache_info().currsize == 3052
-    assert fock.SLOT_BITS == 64
 
 
 def test_session_failure_ordering():
