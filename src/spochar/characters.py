@@ -59,8 +59,8 @@ def _jt_det(
     term added from column l+2 on), orthogonal (second term subtracted from
     column l+1 on), or symplectic over h'_k = h_k - h_{k-2}.  The h-table
     over all n+m variables runs exactly to the largest index an entry reads:
-    h_k has O(k^(2n+m-1)) terms and tables are cached per length, so any
-    slack is built for nothing.
+    h_k has O(k^(2n+m-1)) terms, and slack would grow the one table that
+    every length shares past anything an entry reads.
     """
     dim = len(alpha)
     if dim == 0:

@@ -88,17 +88,25 @@ def interlaces(nu: Partition, lam: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def partitions_of(weight: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All partitions of `weight` (parts bounded by `max_part`), largest part first."""
+def partitions_of(
+    weight: int, max_part: int | None = None, max_len: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """All partitions of `weight` with parts bounded by `max_part` and at most
+    `max_len` of them, largest part first."""
     if weight < 0:
         return ()
     if weight == 0:
         return ((),)
     if max_part is None or max_part > weight:
         max_part = weight
+    if max_len is None or max_len > weight:
+        max_len = weight
+    if max_len == 0:
+        return ()
     out: list[tuple[int, ...]] = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(weight - first, first):
+    # the largest of at most max_len parts is at least their mean
+    for first in range(max_part, -(-weight // max_len) - 1, -1):
+        for rest in partitions_of(weight - first, first, max_len - 1):
             out.append((first,) + rest)
     return tuple(out)
 
@@ -106,11 +114,10 @@ def partitions_of(weight: int, max_part: int | None = None) -> tuple[tuple[int, 
 def enumerate_partitions(max_len: int, max_weight: int) -> Iterator[Partition]:
     """Every partition with at most `max_len` parts and weight at most
     `max_weight`, exactly once, ordered by weight then lexicographically
-    descending parts."""
+    descending parts.  Longer partitions are never built."""
     for w in range(max_weight + 1):
-        for parts in partitions_of(w):
-            if len(parts) <= max_len:
-                yield Partition(parts)
+        for parts in partitions_of(w, None, max_len):
+            yield Partition(parts)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ coefficients of the formal series
 
 where the z-factors are 1/(1 - z_j w) (``plain``) or the pair
 1/((1 - z_j w)(1 - z_j^{-1} w)) (``symmetric``).
-Coefficients below index zero are zero and h_0 = 1.  The e-family expands
+Coefficients below index zero are zero and h_0 = 1.  Each table is grown in
+place, once per prefix of its factor list, and every request reads the same
+per-degree dicts (see `_grown`).  The e-family expands
 prod_j (1 - z_j^{-1} w), whose coefficients are elementary symmetric
 polynomials of the -z_j^{-1}; a Newton-style recurrence ties the plain and
 symmetric h-families together through it.
@@ -49,15 +51,48 @@ class HSpec(_HSpecFields):
 
 @lru_cache(maxsize=None)
 def _geom_factors(spec: HSpec) -> tuple[Monomial, ...]:
+    # x^+-, then z, then z^-1: the plain family's factors are a prefix of the
+    # symmetric family's, so both grow one table list
     out: list[Monomial] = []
     for i in range(1, spec.n + 1):
         out.append(((xvar(i), 1),))
         out.append(((xvar(i), -1),))
-    for j in range(1, spec.m + 1):
-        out.append(((zvar(j), 1),))
-        if spec.z_mode == "symmetric":
-            out.append(((zvar(j), -1),))
+    out.extend(((zvar(j), 1),) for j in range(1, spec.m + 1))
+    if spec.z_mode == "symmetric":
+        out.extend(((zvar(j), -1),) for j in range(1, spec.m + 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _stages(factors: tuple[Monomial, ...]) -> list[dict[int, int]]:
+    """The h-table of `factors` as far as it has been grown: one dict per
+    degree, starting at h_0 = 1.  `_grown` appends to it; a dict, once
+    appended, is never changed, so every table wrapping it shares it."""
+    return [{0: 1}]
+
+
+def _grown(factors: tuple[Monomial, ...], N: int) -> list[dict[int, int]]:
+    """`_stages(factors)` grown to degree N, and every prefix with it.
+
+    Adding factor u to the prefix U: h_k(U + u) = h_k(U) + u * h_{k-1}(U + u),
+    where u * h_{k-1} shifts every key by u's; no coefficient cancels.
+    """
+    table = _stages(factors)
+    if len(table) > N:
+        return table
+    if not factors:
+        table.extend({} for _ in range(len(table), N + 1))
+        return table
+    prev = _grown(factors[:-1], N)
+    (shift,) = LaurentPoly.monomial(factors[-1])._terms
+    for k in range(len(table), N + 1):
+        cur = dict(prev[k])
+        get = cur.get
+        for key, c in table[k - 1].items():
+            key += shift
+            cur[key] = get(key, 0) + c
+        table.append(cur)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -69,17 +104,8 @@ def _geom_product(factors: tuple[Monomial, ...], N: int) -> tuple[LaurentPoly, .
     """
     top = max((abs(e) for u in factors for _, e in u), default=0)
     _checked(N * top)
-    series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(N)]
-    for u in factors:
-        (shift,) = LaurentPoly.monomial(u)._terms
-        # multiplying by 1/(1 - u w): new_k = old_k + u * new_{k-1}, where
-        # u * new_{k-1} shifts every key by u's; no coefficient cancels
-        for prev, cur in zip(series, series[1:]):
-            get = cur.get
-            for key, c in prev.items():
-                key += shift
-                cur[key] = get(key, 0) + c
-    return tuple(LaurentPoly(terms, k * top) for k, terms in enumerate(series))
+    table = _grown(factors, N)
+    return tuple(LaurentPoly(table[k], k * top) for k in range(N + 1))
 
 
 def h_seq(spec: HSpec, N: int) -> list[LaurentPoly]:
@@ -92,6 +118,15 @@ def h_seq(spec: HSpec, N: int) -> list[LaurentPoly]:
 def h_seq_y(k: int, N: int) -> list[LaurentPoly]:
     """Complete homogeneous polynomials in y_1..y_k up to degree N."""
     return list(_geom_product(tuple(((yvar(i), 1),) for i in range(1, k + 1)), N))
+
+
+def h_seq_cauchy(spec: HSpec, k: int, N: int) -> list[LaurentPoly]:
+    """[G_0, ..., G_N] for prod_{s<=k} prod_u 1/(1 - u y_s w), u over the
+    family's factors: G_d is the y-degree-d part of prod_s sum_j h_j y_s^j."""
+    letters = tuple(
+        u + ((yvar(s), 1),) for s in range(1, k + 1) for u in _geom_factors(spec)
+    )
+    return list(_geom_product(letters, N))
 
 
 @lru_cache(maxsize=None)

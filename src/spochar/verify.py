@@ -385,27 +385,27 @@ def check_branching_odd_sp(ses: _Session, grid: Grid) -> None:
 # -- Cauchy ------------------------------------------------------------------
 
 
-def _pair_product(count: int, strict: bool, cap: int, yrank: int) -> LaurentPoly:
-    acc = ONE
+def _pair_product(count: int, strict: bool, cap: int) -> list[LaurentPoly]:
+    """prod_{k<l} (1 - y_k y_l) over y_1..y_count (k <= l unless `strict`),
+    graded: entry e is its part of y-degree e, for e <= cap."""
+    graded = [ONE]
     for k in range(1, count + 1):
-        start = k + 1 if strict else k
-        for l in range(start, count + 1):
-            factor = ONE - LaurentPoly.variable(yvar(k)) * LaurentPoly.variable(
-                yvar(l)
-            )
-            acc = acc.mul_truncated(factor, yrank, cap)
-    return acc
+        for l in range(k + 1 if strict else k, count + 1):
+            pair = LaurentPoly.variable(yvar(k)) * LaurentPoly.variable(yvar(l))
+            # each factor adds 2 to the top degree
+            graded = [
+                (graded[e] if e < len(graded) else ZERO)
+                - (pair * graded[e - 2] if e >= 2 else ZERO)
+                for e in range(min(len(graded) + 2, cap + 1))
+            ]
+    return graded
 
 
 def _cauchy_rhs(n: int, m: int, ycount: int, strict: bool, cap: int) -> LaurentPoly:
-    # prod over the alphabet of 1/(1 - u y_s) is sum_d h_d y_s^d
-    yrank = yvar(1).rank
-    hs = series.h_seq(HSpec(n, m), cap)
-    acc = _pair_product(ycount, strict, cap, yrank)
-    for s in range(1, ycount + 1):
-        ys = dot((h, LaurentPoly.variable(yvar(s), d)) for d, h in enumerate(hs))
-        acc = acc.mul_truncated(ys, yrank, cap)
-    return acc
+    # prod over the alphabet u and s of 1/(1 - u y_s), graded by y-degree
+    gs = series.h_seq_cauchy(HSpec(n, m), ycount, cap)
+    ps = _pair_product(ycount, strict, cap)
+    return dot((p, gs[d]) for e, p in enumerate(ps) for d in range(cap - e + 1))
 
 
 def _cauchy_lhs(family: str, n: int, m: int, ycount: int, cap: int) -> LaurentPoly:
@@ -438,8 +438,10 @@ def check_cauchy(ses: _Session, grid: Grid, family: str) -> None:
         ]
     for n, m in pairs:
         ycount = n + m
-        lhs = _cauchy_lhs("o" if family == "o" else "sp", n, m, ycount, cap)
+        # the product side first: its bound check refuses an oversized cap
+        # before the character sum enumerates a single shape
         rhs = _cauchy_rhs(n, m, ycount, family != "o", cap)
+        lhs = _cauchy_lhs("o" if family == "o" else "sp", n, m, ycount, cap)
         passed = ses.check((n + m, n, m), f"{family} n={n} m={m} D={cap}", lhs, rhs)
         if passed and family == "o":
             ses.notes.append(f"n={n} m={m}: non-strict pair product (k<=l) matches")

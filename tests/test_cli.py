@@ -327,6 +327,16 @@ def test_exponent_overflow_exits_2(capsys, narrow_monomial_slots):
         assert err.startswith(prefix + "exponent bound ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["cauchy_sp", "cauchy_o"])
+def test_an_oversized_cauchy_cap_exits_2_before_enumerating(capsys, suite):
+    # the product side's bound check comes before the character sum, whose
+    # shapes reach weight 40000
+    assert main(["verify", "--suite", suite, "--grid", '{"degree_cap": 40000}']) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: suite {suite}: exponent bound 40000 reaches the 16-bit monomial slot\n"
+
+
 def test_a_usage_error_mid_suite_names_the_suite(capsys):
     # n + m reaches 7 first in branching_sp; the suites before it pass
     grid = '{"n_range": [0, 5], "max_weight": 1}'

@@ -132,6 +132,34 @@ def test_enumerate_matches_brute_force():
             assert set(got) == all_partitions_brute(max_len, max_weight)
 
 
+def test_enumerate_keeps_the_order_of_the_filtered_enumeration():
+    for max_len in range(6):
+        for max_weight in range(12):
+            want = [
+                parts
+                for w in range(max_weight + 1)
+                for parts in partitions_of(w)
+                if len(parts) <= max_len
+            ]
+            assert [p.parts for p in enumerate_partitions(max_len, max_weight)] == want
+
+
+def test_enumerate_builds_no_longer_partition():
+    # p(45) = 89134: a filtered enumeration would build all of them, caching
+    # one tuple per (weight, largest part), over a thousand in all
+    clear_caches()
+    assert [p.parts for p in enumerate_partitions(0, 45)] == [()]
+    assert [p.parts for p in enumerate_partitions(1, 45)] == [()] + [(w,) for w in range(1, 46)]
+    assert partitions_of.cache_info().currsize <= 3 * 46
+
+
+def test_partitions_of_respects_max_len():
+    assert partitions_of(5, None, 2) == ((5,), (4, 1), (3, 2))
+    assert partitions_of(5, 3, 2) == ((3, 2),)
+    assert partitions_of(5, None, 0) == ()
+    assert partitions_of(0, None, 0) == ((),)
+
+
 def test_partitions_of_counts():
     # p(0..7) = 1 1 2 3 5 7 11 15
     counts = [len(partitions_of(w)) for w in range(8)]

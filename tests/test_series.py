@@ -1,8 +1,11 @@
 """Complete homogeneous and elementary generating sequences over mixed alphabets."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+from spochar import clear_caches
 
 from spochar.ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, yvar, zvar
 from spochar.series import (
@@ -11,6 +14,7 @@ from spochar.series import (
     _e_seq,
     _geom_factors,
     _geom_product,
+    _stages,
     check_newton,
     h_seq,
     h_seq_y,
@@ -136,6 +140,47 @@ def test_h_seq_y_matches_the_ring_recurrence():
         for N in range(7):
             factors = tuple(((yvar(i), 1),) for i in range(1, k + 1))
             assert_same_table(h_seq_y(k, N), ring_recurrence(factors, N))
+
+
+def test_grown_tables_match_the_ring_recurrence_in_any_request_order():
+    # one prefix store serves every N of a factor set, the plain family's
+    # factors are a prefix of the symmetric family's, and h_seq_y(k) extends
+    # h_seq_y(k - 1): requests in a shuffled order, descending N included,
+    # must read the same tables as building each from scratch
+    requests = [
+        (spec, N)
+        for spec in (HSpec(n, m, z) for n in range(3) for m in range(3) for z in Z_MODES)
+        for N in (6, 2, 0, 4)
+    ] + [(k, N) for k in range(4) for N in (6, 1, 3)]
+    random.Random(27).shuffle(requests)
+    for order in (requests, sorted(requests, key=lambda r: -r[1])):
+        clear_caches()
+        assert _stages.cache_info().currsize == 0
+        for key, N in order:
+            if isinstance(key, HSpec):
+                got, factors = h_seq(key, N), _geom_factors(key)
+            else:
+                got = h_seq_y(key, N)
+                factors = tuple(((yvar(i), 1),) for i in range(1, key + 1))
+            assert_same_table(got, ring_recurrence(factors, N))
+        assert _stages.cache_info().currsize > 0
+
+
+def test_symmetric_factors_extend_the_plain_ones():
+    for n in range(3):
+        for m in range(3):
+            plain = _geom_factors(HSpec(n, m, "plain"))
+            assert _geom_factors(HSpec(n, m, "symmetric"))[: len(plain)] == plain
+
+
+def test_every_n_of_one_factor_set_reads_the_same_dicts():
+    clear_caches()
+    spec = HSpec(1, 1, "symmetric")
+    big, small = h_seq(spec, 5), h_seq(spec, 3)
+    plain = h_seq(HSpec(1, 1, "plain"), 4)
+    assert all(a._terms is b._terms for a, b in zip(small, big))
+    # the plain table is the symmetric one's prefix stage, not a copy of it
+    assert _stages(_geom_factors(HSpec(1, 1, "plain")))[4] is plain[4]._terms
 
 
 def test_h_table_bound_scales_with_the_largest_exponent():

@@ -15,7 +15,7 @@ import pytest
 
 import spochar
 from spochar import clear_caches, fock, series, verify
-from spochar.ring import ONE, LaurentPoly, xvar
+from spochar.ring import ONE, LaurentPoly, dot, xvar, yvar
 from spochar.series import HSpec
 from spochar.verify import (
     SUITE_NAMES,
@@ -285,8 +285,8 @@ def test_cauchy_o_fails_against_the_strict_kernel(monkeypatch):
     # the strict product (and the symplectic one the non-strict) must fail
     real = verify._pair_product
 
-    def flipped(count, strict, cap, yrank):
-        return real(count, not strict, cap, yrank)
+    def flipped(count, strict, cap):
+        return real(count, not strict, cap)
 
     monkeypatch.setattr(verify, "_pair_product", flipped)
     rep = run_suite("cauchy_o", SMALL)
@@ -294,6 +294,39 @@ def test_cauchy_o_fails_against_the_strict_kernel(monkeypatch):
     assert rep.instances_run == 4
     assert rep.notes == ["n=0 m=0: non-strict pair product (k<=l) matches"]
     assert not run_suite("cauchy_sp", SMALL).passed
+
+
+def truncated_cauchy_rhs(n, m, ycount, strict, cap):
+    """The product side as one `mul_truncated` per factor and per alphabet."""
+    yrank = yvar(1).rank
+    acc = ONE
+    for k in range(1, ycount + 1):
+        for l in range(k + 1 if strict else k, ycount + 1):
+            factor = ONE - LaurentPoly.variable(yvar(k)) * LaurentPoly.variable(yvar(l))
+            acc = acc.mul_truncated(factor, yrank, cap)
+    hs = series.h_seq(HSpec(n, m), cap)
+    for s in range(1, ycount + 1):
+        ys = dot((h, LaurentPoly.variable(yvar(s), d)) for d, h in enumerate(hs))
+        acc = acc.mul_truncated(ys, yrank, cap)
+    return acc
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+def test_graded_cauchy_side_matches_truncated_products(strict):
+    for n in range(3):
+        for m in range(3):
+            for cap in range(8):
+                got = verify._cauchy_rhs(n, m, n + m, strict, cap)
+                assert got._terms == truncated_cauchy_rhs(n, m, n + m, strict, cap)._terms
+
+
+def test_pair_product_is_graded_by_y_degree():
+    for strict in (True, False):
+        for cap in range(8):
+            graded = verify._pair_product(3, strict, cap)
+            assert len(graded) == min(cap, 6 if strict else 12) + 1
+            for e, part in enumerate(graded):
+                assert all(sum(x for _, x in mono) == e for mono, _ in part.items())
 
 
 def test_broken_reductions_report_the_bialternant_descriptions(broken_universal):
