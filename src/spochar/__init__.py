@@ -51,11 +51,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache the package keeps: each `lru_cache` and the Fock
-    basis-id table.  Later results are the same; they are only recomputed."""
+    """Empty every cache the package keeps, each an `lru_cache`.  Later
+    results are the same; they are only recomputed."""
     for module in (characters, fock, partitions, ring, series):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
-    fock.PARTS.clear()
-    fock._PID.clear()

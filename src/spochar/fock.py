@@ -32,7 +32,7 @@ W*_k is its w^k-coefficient, and W(w) = (1 - w^2) Y(w) onto Y*(w).  On Schur
 functions omega is a signed conjugation, omega s_lambda = (-1)^|lambda|
 s_lambda', so X*_k s_mu = (-1)^|mu| omega X_{-k} s_mu'.  Every term of
 X_{-k} s_mu' has weight |mu| + k - 2a for some a, so the sign
-(-1)^(|mu| + |nu|) of each slot nu is the one constant (-1)^k.
+(-1)^(|mu| + |nu|) of each entry nu is the one constant (-1)^k.
 
 The half-current Gamma_+(x, z) = exp(sum_n a_n/n * p_n(x^{+-1}, z)) is the
 only place the character variables enter.  It is a Taylor shift of the power
@@ -43,27 +43,10 @@ Murnaghan-Nakayama):
     p_rho = sum_lambda chi^lambda(rho) s_lambda,
     s_lambda = sum_rho chi^lambda(rho) p_rho / z_rho.
 
-Packed rows.  Basis vectors are numbered by weight: `pid(nu)` is the number
-of partitions of weight below |nu| plus the rank of nu in `partitions_of(|nu|)`,
-and `PARTS` maps an id back.  An integer vector with coefficient c_i on id i
-is packed as
-
-    N = sum_i c_i * 2^(B*i),    B = SLOT_BITS,
-
-so sum_k f_k N_k packs sum_k f_k v_k exactly, by linearity.  Every packed
-value carries an integer bound beta >= max_i |c_i|: a Pieri block's is 1,
-a combination sum_k f_k N_k gets sum_k |f_k| beta_k, which bounds each of its
-slots by the triangle inequality, and a sum of values on disjoint slot ranges
-(a row's weights) gets the largest of their bounds.  While beta < 2^(B-1) the
-packing is injective: N + sum_i 2^(B-1) * 2^(B*i) has the base-2^B digits
-c_i + 2^(B-1), all in [1, 2^B - 1], so no digit carries into the next, the
-c_i can be read back (`unpack`), and N == 0 exactly when every c_i is 0.
-`certify` checks the bound of every packed value and raises `SlotOverflow`
-once it reaches 2^(B-1), so no verdict is ever read from an integer that
-could hide a nonzero slot.  Nothing is modular or sampled.  One slot width
-serves every grid the project runs: the largest bound in the commutation
-suite is 11 bits at its acceptance grid and 14 bits at weight 9 with
-degree_cap 9.
+A mode row is the tuple of its nonzero (partition, int) entries, built from
+the Pieri strips and cached per (kind, k, mu) (`_mode_row_scaled`).  Its
+coefficients are Python ints, exact and unbounded, so a combination of rows
+accumulated in a dict is zero exactly when every entry is 0.
 """
 
 from __future__ import annotations
@@ -75,7 +58,7 @@ from itertools import product
 from math import comb, factorial, lcm
 
 from .partitions import Partition, PartitionTooLong, partitions_of
-from .ring import ONE, ZERO, LaurentPoly, SlotOverflow, dot, xvar, zvar
+from .ring import ONE, ZERO, LaurentPoly, dot, xvar, zvar
 
 # Coefficients are int/Fraction; after gamma_plus they are LaurentPolys.  The
 # operations below use only +, * and truthiness, so they accept either.
@@ -94,69 +77,6 @@ _OMEGA_OF = {"Wstar": "Y", "Ystar": "W"}  # X*_k = omega X_{-k} omega
 
 def vacuum() -> FockVector:
     return {(): 1}
-
-
-SLOT_BITS = 16  # bits per packed slot, a multiple of 8 (`unpack` reads bytes)
-
-# Basis ids by weight: all partitions of weight 0, then of weight 1, ..., each
-# weight in `partitions_of` order, so a row of low weight packs into a short
-# int.  The table grows a whole weight at a time and `clear_caches` empties it.
-_PID: dict[tuple[int, ...], int] = {}
-PARTS: list[tuple[int, ...]] = []
-
-
-def pid(nu: tuple[int, ...]) -> int:
-    """The id of a partition tuple; PARTS maps it back."""
-    i = _PID.get(nu)
-    if i is None:
-        for w in range(sum(PARTS[-1]) + 1 if PARTS else 0, sum(nu) + 1):
-            for p in partitions_of(w):
-                _PID[p] = len(PARTS)
-                PARTS.append(p)
-        i = _PID[nu]
-    return i
-
-
-def certify(bound: int) -> int:
-    """Return `bound`, or raise SlotOverflow where packing stops being injective."""
-    if bound >> (SLOT_BITS - 1):
-        raise SlotOverflow(
-            f"packed slot bound of {bound.bit_length()} bits reaches the "
-            f"{SLOT_BITS}-bit slot width"
-        )
-    return bound
-
-
-def pack(entries) -> int:
-    """The packed int of ((id, coefficient), ...), distinct ids, each
-    |coefficient| < 2^(SLOT_BITS-1)."""
-    return sum(c << (SLOT_BITS * i) for i, c in entries)
-
-
-def combine(terms) -> tuple[int, int]:
-    """sum f * value over (f, value, bound) triples, with its certified bound."""
-    value = bound = 0
-    for f, v, b in terms:
-        value += f * v
-        bound += abs(f) * b
-    return value, certify(bound)
-
-
-def unpack(value: int) -> list[tuple[int, int]]:
-    """The nonzero slots of a packed int whose bound is certified, as
-    [(id, coefficient), ...] by ascending id; see the module docstring."""
-    if not value:
-        return []
-    width, half = SLOT_BITS // 8, 1 << (SLOT_BITS - 1)
-    zero = half.to_bytes(width, "little")  # the digit of a 0 slot once biased
-    slots = abs(value).bit_length() // SLOT_BITS + 1
-    data = (value + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
-    out = []
-    for i in range(slots):
-        digit = data[i * width : (i + 1) * width]
-        if digit != zero:
-            out.append((i, int.from_bytes(digit, "little") - half))
-    return out
 
 
 def _insert_part(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -268,10 +188,11 @@ def _lowered(mu: tuple[int, ...]):
     return tuple(zip(*((p, rho, c) for (p, rho), c in sorted(terms.items()))))
 
 
-def _horizontal_strips(rho: tuple[int, ...], r: int):
-    """Every lambda with lambda/rho a horizontal r-strip: the first row grows
-    freely, row i by at most rho_{i-1} - rho_i, and one new row by at most
-    the last part."""
+@lru_cache(maxsize=None)
+def _pieri_block(rho: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """h_r s_rho, every coefficient 1: each lambda with lambda/rho a
+    horizontal r-strip.  The first row grows freely, row i by at most
+    rho_{i-1} - rho_i, and one new row by at most the last part."""
     padded = rho + (0,)
     grown = [((), r)]  # (rows so far, boxes left)
     for i, p in enumerate(padded):
@@ -279,16 +200,7 @@ def _horizontal_strips(rho: tuple[int, ...], r: int):
         grown = [
             (lam + (p + x,), left - x) for lam, left in grown for x in range(min(cap, left) + 1)
         ]
-    return [tuple(p for p in lam if p) for lam, left in grown if not left]
-
-
-@lru_cache(maxsize=None)
-def _pieri_block(rho: tuple[int, ...], r: int) -> tuple[int, int]:
-    """h_r s_rho, every coefficient 1, packed from the first id of its
-    weight: (value, that id)."""
-    w = sum(rho) + r
-    base = pid((w,) if w else ())  # (w,) comes first in partitions_of(w)
-    return pack((pid(lam) - base, 1) for lam in _horizontal_strips(rho, r)), base
+    return tuple(tuple(p for p in lam if p) for lam, left in grown if not left)
 
 
 @lru_cache(maxsize=None)
@@ -347,39 +259,31 @@ def schur_to_power_sums(vec: dict[tuple[int, ...], int]) -> list[tuple[tuple[int
 
 
 @lru_cache(maxsize=None)
-def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]) -> tuple[int, int]:
-    """X_k s_mu as a packed integer row (value, bound).
+def _mode_row_scaled(kind: str, k: int, mu: tuple[int, ...]):
+    """X_k s_mu as its nonzero entries ((nu, int), ...).
 
     A W*, W or Y* row derives from cached rows by the module docstring's two
-    rules; the starred rows conjugate every slot of the plain row at -k on
+    rules; the starred rows conjugate every entry of the plain row at -k on
     mu' and sign it by (-1)^k.  A Y row reads the prefix of `_lowered(mu)`
-    with w-power a - b <= -k, adds the horizontal strips of h_{b-a-k} to each
-    of its terms, sums the blocks per weight as short ints and shifts each
-    sum into place once.  Weights occupy disjoint slots, so the row's bound
-    is the largest per-weight bound.
+    with w-power a - b <= -k and adds the horizontal strips of h_{b-a-k} of
+    each of its terms.
     """
     if kind in _OMEGA_OF:
-        value, bound = _mode_row_scaled(_OMEGA_OF[kind], -k, _conjugate(mu))
         sign = -1 if k % 2 else 1
-        return pack((pid(_conjugate(PARTS[i])), sign * c) for i, c in unpack(value)), bound
+        row = _mode_row_scaled(_OMEGA_OF[kind], -k, _conjugate(mu))
+        return tuple((_conjugate(nu), sign * c) for nu, c in row)
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
     if kind == "W":  # W_k = Y_k - Y_{k+2}
-        (v1, b1), (v2, b2) = _mode_row_scaled("Y", k, mu), _mode_row_scaled("Y", k + 2, mu)
-        return combine(((1, v1, b1), (-1, v2, b2)))
-    powers, rests, coeffs = _lowered(mu)
-    graded: dict[int, list] = {}
-    for p, rho, c in zip(powers[: bisect_right(powers, -k)], rests, coeffs):
-        value, base = _pieri_block(rho, -k - p)
-        graded.setdefault(base, []).append((c, value, 1))
-    sums = [(base, *combine(ts)) for base, ts in graded.items()]
-    value = sum(v << (SLOT_BITS * base) for base, v, _ in sums)
-    return value, max((b for *_, b in sums), default=0)
-
-
-@lru_cache(maxsize=None)
-def _row_entries(kind: str, k: int, mu: tuple[int, ...]):
-    """X_k s_mu unpacked as ((nu, int), ...), for the readers that go through
-    a row entry by entry: inner rows of `compose`, kets, bras."""
-    return tuple((PARTS[i], v) for i, v in unpack(_mode_row_scaled(kind, k, mu)[0]))
+        out.update(_mode_row_scaled("Y", k, mu))
+        for nu, c in _mode_row_scaled("Y", k + 2, mu):
+            out[nu] = get(nu, 0) - c
+    else:
+        powers, rests, coeffs = _lowered(mu)
+        for p, rho, c in zip(powers[: bisect_right(powers, -k)], rests, coeffs):
+            for lam in _pieri_block(rho, -k - p):
+                out[lam] = get(lam, 0) + c
+    return tuple((nu, c) for nu, c in out.items() if c)
 
 
 _KIND_SET = frozenset(MODE_KINDS)
@@ -398,7 +302,7 @@ def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
     def row(rho):
         out: dict[tuple[int, ...], int] = {}
         for lam, chi in _p_in_schur(rho):
-            for nu, c in _row_entries(kind, k, lam):
+            for nu, c in _mode_row_scaled(kind, k, lam):
                 out[nu] = out.get(nu, 0) + chi * c
         return [(sigma, Fraction(n, _zfactor(sigma))) for sigma, n in schur_to_power_sums(out)]
 
@@ -406,15 +310,15 @@ def apply_mode(kind: str, k: int, vec: FockVector) -> FockVector:
 
 
 def compose(kind_out: str, k_out: int, kind_in: str, k_in: int, mu: tuple[int, ...]):
-    """X_out X_in s_mu as a packed row (value, bound): the inner row is
-    unpacked, and the cached outer rows are summed as packed ints."""
+    """X_out X_in s_mu as a dict {nu: int}, summed over the cached outer
+    rows of the inner row's entries; an entry may be 0 where terms cancel."""
     _check_kinds(kind_out, kind_in)  # first: an empty inner row reads no outer row
-    value = bound = 0
-    for nu, q in _row_entries(kind_in, k_in, mu):
-        v, b = _mode_row_scaled(kind_out, k_out, nu)
-        value += q * v
-        bound += abs(q) * b
-    return value, certify(bound)
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for nu, q in _mode_row_scaled(kind_in, k_in, mu):
+        for lam, c in _mode_row_scaled(kind_out, k_out, nu):
+            out[lam] = get(lam, 0) + q * c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -424,7 +328,7 @@ def _ket_cached(kind: str, parts: tuple[int, ...]):
     (((rho, int), ...), den)."""
     vec = vacuum()
     for part in reversed(parts):
-        vec = _linear(vec, lambda mu: _row_entries(kind, -part, mu))
+        vec = _linear(vec, lambda mu: _mode_row_scaled(kind, -part, mu))
     terms = schur_to_power_sums(vec)
     den = lcm(*(_zfactor(rho) for rho, _ in terms))
     return tuple((rho, n * (den // _zfactor(rho))) for rho, n in terms), den
@@ -473,7 +377,7 @@ def _bra_on_basis(star: str, word: tuple[int, ...], nu: tuple[int, ...]) -> int:
     Recursing on the word's tail shares every suffix between bras."""
     if not word:
         return int(nu == ())
-    entries = _row_entries(star, -word[0], nu)
+    entries = _mode_row_scaled(star, -word[0], nu)
     return sum(v * _bra_on_basis(star, word[1:], rho) for rho, v in entries)
 
 

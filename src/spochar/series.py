@@ -75,24 +75,26 @@ def _grown(factors: tuple[Monomial, ...], N: int) -> list[dict[int, int]]:
     """`_stages(factors)` grown to degree N, and every prefix with it.
 
     Adding factor u to the prefix U: h_k(U + u) = h_k(U) + u * h_{k-1}(U + u),
-    where u * h_{k-1} shifts every key by u's; no coefficient cancels.
+    where u * h_{k-1} shifts every key by u's; no coefficient cancels.  The
+    prefixes are grown in a loop, from the longest one already grown to N,
+    so a list of thousands of factors meets no recursion limit.
     """
-    table = _stages(factors)
-    if len(table) > N:
-        return table
-    if not factors:
-        table.extend({} for _ in range(len(table), N + 1))
-        return table
-    prev = _grown(factors[:-1], N)
-    (shift,) = LaurentPoly.monomial(factors[-1])._terms
-    for k in range(len(table), N + 1):
-        cur = dict(prev[k])
-        get = cur.get
-        for key, c in table[k - 1].items():
-            key += shift
-            cur[key] = get(key, 0) + c
-        table.append(cur)
-    return table
+    tables = [_stages(factors)]
+    while len(tables[-1]) <= N and len(tables) <= len(factors):
+        tables.append(_stages(factors[: len(factors) - len(tables)]))
+    prev = tables.pop()
+    prev.extend({} for _ in range(len(prev), N + 1))  # only the empty prefix is short here
+    for table, u in zip(reversed(tables), factors[len(factors) - len(tables) :]):
+        (shift,) = LaurentPoly.monomial(u)._terms
+        for k in range(len(table), N + 1):
+            cur = dict(prev[k])
+            get = cur.get
+            for key, c in table[k - 1].items():
+                key += shift
+                cur[key] = get(key, 0) + c
+            table.append(cur)
+        prev = table
+    return prev
 
 
 @lru_cache(maxsize=None)

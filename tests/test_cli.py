@@ -117,6 +117,14 @@ def test_newton_pass(capsys):
     assert out.strip() == "pass"
 
 
+def test_newton_with_a_thousand_factors_passes(capsys):
+    # 1001 factors, one per x^{+-1} and z: one stage of recursion per
+    # factor would pass Python's default limit of 1000 frames
+    code, out = run(capsys, "newton", "--n", "500", "--m", "1", "--N", "1")
+    assert code == 0
+    assert out.strip() == "pass"
+
+
 def test_verify_single_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "newton")
     assert code == 0

@@ -9,10 +9,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
-from spochar import clear_caches, cli, fock
+from spochar import fock
 from spochar.characters import skew
 from spochar.fock import (
     MODE_KINDS,
@@ -437,10 +435,9 @@ def test_mode_rows_match_the_series():
                 for k in range(-top, top + 1):
                     got = apply_mode(kind, k, {mu: 1})
                     assert got == rows.get(sign * k, {}), (kind, k, mu)
-                    # built, folded or conjugated: the certified bound covers every slot
-                    value, bound = fock._mode_row_scaled(kind, k, mu)
-                    slots = [abs(c) for _, c in fock.unpack(value)]
-                    assert bound >= max(slots, default=0), (kind, k, mu)
+                    # built, folded or conjugated: a row holds no zero entry
+                    row = fock._mode_row_scaled(kind, k, mu)
+                    assert all(c for _, c in row), (kind, k, mu)
 
 
 @pytest.mark.parametrize(
@@ -475,8 +472,7 @@ def test_compose_matches_apply_mode_twice():
     for kind_out, kind_in in pairs:
         for k_out, k_in in ((-2, 1), (0, -1), (1, 2), (-1, -1)):
             for mu in ((), (1,), (2, 1), (1, 1, 1)):
-                value, _ = fock.compose(kind_out, k_out, kind_in, k_in, mu)
-                got = _in_power_sums({fock.PARTS[i]: v for i, v in fock.unpack(value)})
+                got = _in_power_sums(fock.compose(kind_out, k_out, kind_in, k_in, mu))
                 s_mu = _in_power_sums({mu: 1})
                 want = apply_mode(kind_out, k_out, apply_mode(kind_in, k_in, s_mu))
                 assert got == want, (kind_out, k_out, kind_in, k_in, mu)
@@ -487,12 +483,11 @@ def test_compose_equals_the_sum_of_cached_outer_rows():
     for kind_out, kind_in in product(MODE_KINDS, repeat=2):
         for k_out, k_in in product(range(-3, 4), repeat=2):
             for mu in (mu for w in range(4) for mu in partitions_of(w)):
-                inner = fock._row_entries(kind_in, k_in, mu)
-                want = fock.combine(
-                    (q, *fock._mode_row_scaled(kind_out, k_out, nu)) for nu, q in inner
-                )
+                inner = dict(fock._mode_row_scaled(kind_in, k_in, mu))
+                want = fock._linear(inner, lambda nu: fock._mode_row_scaled(kind_out, k_out, nu))
                 got = fock.compose(kind_out, k_out, kind_in, k_in, mu)
-                assert got == want, (kind_out, k_out, kind_in, k_in, mu)
+                nonzero = {nu: c for nu, c in got.items() if c}
+                assert nonzero == want, (kind_out, k_out, kind_in, k_in, mu)
 
 
 # --- the change of basis at the public boundary ---
@@ -514,53 +509,3 @@ def test_power_sums_to_schur_and_back():
     for w in range(9):
         for rho in partitions_of(w):
             assert _in_power_sums(dict(fock._p_in_schur(rho))) == {rho: 1}, rho
-
-
-# --- packed rows ---
-
-_HALF = 1 << (fock.SLOT_BITS - 1)
-
-
-@given(
-    st.dictionaries(
-        st.integers(0, 60), st.integers(1 - _HALF, _HALF - 1).filter(bool), max_size=12
-    )
-)
-@example({})
-@example({0: -1})
-@example({3: 5, 7: 1 - _HALF})
-@example({0: _HALF - 1, 1: 1 - _HALF, 2: _HALF - 1})
-def test_unpack_inverts_pack(vec):
-    entries = sorted(vec.items())
-    assert fock.unpack(fock.pack(entries)) == entries
-
-
-def test_certify_stops_at_half_the_slot():
-    assert fock.certify(_HALF - 1) == _HALF - 1
-    with pytest.raises(fock.SlotOverflow):
-        fock.certify(_HALF)
-
-
-@pytest.fixture
-def narrow_slots(monkeypatch):
-    """Packed values built with 8-bit slots; every cache is emptied around
-    the test so that no row of either width outlives it."""
-    clear_caches()
-    monkeypatch.setattr(fock, "SLOT_BITS", 8)
-    yield
-    monkeypatch.undo()
-    clear_caches()
-
-
-def test_narrow_slots_raise_instead_of_a_verdict(narrow_slots, capsys):
-    # the weight-2 grid's largest bound is 144, past 2^7
-    from spochar.verify import Grid, run_suite
-
-    assert run_suite("commutation", Grid(max_weight=1)).passed
-    with pytest.raises(fock.SlotOverflow):
-        run_suite("commutation", Grid(max_weight=2))
-    code = cli.main(["verify", "--suite", "commutation", "--grid", '{"max_weight": 2}'])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err.startswith("error: suite commutation: packed slot bound of 8 bits reaches the 8-bit")
-    assert "Traceback" not in err

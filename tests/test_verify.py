@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import spochar
-from spochar import clear_caches, fock, series, verify
+from spochar import clear_caches, series, verify
 from spochar.ring import ONE, LaurentPoly, dot, xvar, yvar
 from spochar.series import HSpec
 from spochar.verify import (
@@ -214,7 +214,6 @@ def test_clear_caches_empties_every_cache_and_keeps_reports():
     ]
     assert len(caches) >= 16
     assert all(c.cache_info().currsize == 0 for c in caches)
-    assert not fock.PARTS
     assert [run_suite(name, SMALL).to_json() for name in names] == first
 
 
