@@ -203,9 +203,11 @@ def _xpow_sum(v, e: int) -> LaurentPoly:
     return LaurentPoly.variable(v, e) + LaurentPoly.variable(v, -e)
 
 
-def _alternant(make, vs: Sequence, exps: Sequence[int]) -> list[list[LaurentPoly]]:
-    # one row per variable, one column per exponent
-    return [[make(v, e) for e in exps] for v in vs]
+@lru_cache(maxsize=None)
+def _alternant(make, vs: tuple, exps: tuple[int, ...]) -> LaurentPoly:
+    """det [make(v, e)], one row per variable and one column per exponent;
+    cached, so each Weyl denominator is built once per (kind, n)."""
+    return det_of([[make(v, e) for e in exps] for v in vs])
 
 
 def bialternant(kind: str, lam: Partition, n: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -225,17 +227,17 @@ def bialternant(kind: str, lam: Partition, n: int) -> tuple[LaurentPoly, Laurent
     if lam.length > rows:
         raise PartitionTooLong(f"{lam.parts} needs more than {rows} rows")
     lp = lam.padded(rows)
-    vs = [xvar(i) for i in range(1, n + 1)]
+    vs = tuple(xvar(i) for i in range(1, n + 1))
     # the shape over a staircase: rows..1 for sp, rows-1..0 for o
     top = rows if kind in ("sp", "sp_odd") else rows - 1
-    num_exps = [a + top - j for j, a in enumerate(lp)]
-    den_exps = [top - j for j in range(rows)]
+    num_exps = tuple(a + top - j for j, a in enumerate(lp))
+    den_exps = tuple(top - j for j in range(rows))
     factor = 1
     if kind in ("sp", "sp_odd"):
         character = universal("sp", lam, n, rows - n)
         make = den_make = _xpow_diff
         if kind == "sp_odd":
-            vs.append(zvar(1))
+            vs += (zvar(1),)
             make = _xpow_diff_z
     elif kind == "o_even":
         character = universal("o", lam, n, 0)
@@ -248,16 +250,16 @@ def bialternant(kind: str, lam: Partition, n: int) -> tuple[LaurentPoly, Laurent
         sub = {xvar(i): LaurentPoly.variable(tvar(i), 2) for i in range(1, n + 1)}
         sub[zvar(1)] = LaurentPoly.constant(z_value)
         character = universal("o", lam, n, 1).substitute(sub)
-        vs = [tvar(i) for i in range(1, n + 1)]
-        num_exps = [2 * e + 1 for e in num_exps]
-        den_exps = [2 * e + 1 for e in den_exps]
+        vs = tuple(tvar(i) for i in range(1, n + 1))
+        num_exps = tuple(2 * e + 1 for e in num_exps)
+        den_exps = tuple(2 * e + 1 for e in den_exps)
         make = den_make = _xpow_diff if z_value == 1 else _xpow_sum
     if rows == 0:
         # lam is empty and both alternants are the empty determinant
         return ONE, character
     num = _alternant(make, vs, num_exps)
     den = _alternant(den_make, vs, den_exps)
-    return det_of(num) * factor, det_of(den) * character
+    return num * factor, den * character
 
 
 def o_intermediate_reduce(lam: Partition, n: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:

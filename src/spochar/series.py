@@ -9,10 +9,11 @@ where the z-factors are 1/(1 - z_j w) (``plain``) or the pair
 1/((1 - z_j w)(1 - z_j^{-1} w)) (``symmetric``).
 Coefficients below index zero are zero and h_0 = 1.  Each table is grown in
 place, once per prefix of its factor list, and every request reads the same
-per-degree dicts (see `_grown`).  The e-family expands
-prod_j (1 - z_j^{-1} w), whose coefficients are elementary symmetric
-polynomials of the -z_j^{-1}; a Newton-style recurrence ties the plain and
-symmetric h-families together through it.
+per-degree dicts (see `_grown`).  The symmetric series times
+E(w) = prod_j (1 - z_j^{-1} w), whose coefficients are the elementary
+symmetric polynomials of the -z_j^{-1}, is the plain series: each factor
+cancels a 1/(1 - z_j^{-1} w), as H(t)E(-t) = 1 does for one alphabet.
+`check_newton` verifies this one unit factor at a time and never expands E.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ring import ONE, ZERO, LaurentPoly, Monomial, _checked, dot, xvar, yvar, zvar
+from .ring import LaurentPoly, Monomial, _checked, _var_key, xvar, yvar, zvar
 
 Z_MODES = ("plain", "symmetric")
 
@@ -131,30 +132,37 @@ def h_seq_cauchy(spec: HSpec, k: int, N: int) -> list[LaurentPoly]:
     return list(_geom_product(letters, N))
 
 
-@lru_cache(maxsize=None)
-def _e_seq(m: int) -> tuple[LaurentPoly, ...]:
-    """(e_0, ..., e_m): elementary symmetric polynomials of -z_1^{-1}..-z_m^{-1}."""
-    series = [ONE]
-    for j in range(1, m + 1):
-        zj_inv = LaurentPoly.variable(zvar(j), -1)
-        nxt = [ONE] + [ZERO] * j
-        for k in range(j + 1):
-            nxt[k] = series[k] if k < len(series) else ZERO
-            if k > 0:
-                nxt[k] = nxt[k] - zj_inv * series[k - 1]
-        series = nxt
-    return tuple(series)
-
-
 def check_newton(spec: HSpec, N: int) -> bool:
-    """Verify h_k(plain) = sum_{i=0}^{m} e_i * h_{k-i}(symmetric) for k <= N."""
+    """Verify h_k(plain) = [w^k] prod_j (1 - z_j^{-1} w) * H(symmetric) for k <= N.
+
+    Factor j maps degree k of its input g to g_k - z_j^{-1} g_{k-1}, one key
+    shift and one subtraction.  Degree k passes through every factor and is
+    compared with the plain h_k before degree k + 1, so each factor holds
+    only its input's previous degree.  The shared table dicts are only read.
+    """
     if spec.m < 1:
         raise ValueError("the recurrence needs at least one z variable")
     hp = h_seq(HSpec(spec.n, spec.m, "plain"), N)
     hs = h_seq(HSpec(spec.n, spec.m, "symmetric"), N)
-    es = _e_seq(spec.m)
+    # Every key below is a product of k unit monomials: i of the z_j^{-1}
+    # and k - i from a term of hs[k - i].  So each |exponent| stays within
+    # k <= N, the bound `_geom_product` checked for hs, and no slot aliases.
+    zkeys = [_var_key(zvar(j)) for j in range(1, spec.m + 1)]  # z_j^{-1} subtracts it
+    last: list[dict[int, int]] = [{}] * spec.m  # degree -1 reads zero
     for k in range(N + 1):
-        rhs = dot((es[i], hs[k - i]) for i in range(min(spec.m, k) + 1))
-        if hp[k] != rhs:
+        g = hs[k]._terms
+        for j, zkey in enumerate(zkeys):
+            out = dict(g)
+            get = out.get
+            for key, c in last[j].items():
+                key -= zkey
+                c = get(key, 0) - c
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+            last[j] = g
+            g = out
+        if g != hp[k]._terms:
             return False
     return True

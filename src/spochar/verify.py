@@ -579,7 +579,8 @@ def check_reductions(ses: _Session, grid: Grid) -> None:
 
 
 def check_newton_suite(ses: _Session, grid: Grid) -> None:
-    """Alternating elementary/complete recurrences tying the two h-families."""
+    """The plain h-family as prod_j (1 - z_j^{-1} w) times the symmetric one,
+    to degree degree_cap + 2, once per (n, m) with m >= 1."""
     N = grid.degree_cap + 2
     for n in grid.ns:
         for m in range(max(1, grid.m_range[0]), grid.m_range[1] + 1):

@@ -125,6 +125,25 @@ def test_newton_with_a_thousand_factors_passes(capsys):
     assert out.strip() == "pass"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_newton_with_a_changed_symmetric_coefficient_fails(capsys, perturb_symmetric, fmt):
+    perturb_symmetric(3)
+    code, out = run(capsys, "newton", "--n", "1", "--m", "2", "--N", "4", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out == "fail\n"
+    else:
+        assert json.loads(out)["passed"] is False
+
+
+def test_newton_past_the_slot_bound_exits_2(capsys):
+    # the h-tables' bound check refuses N = 2^15 before any key is built
+    assert main(["newton", "--n", "0", "--m", "1", "--N", "40000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: exponent bound 40000 reaches the 16-bit monomial slot\n"
+
+
 def test_verify_single_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "newton")
     assert code == 0
@@ -306,19 +325,6 @@ def test_broken_bialternant_exits_1(capsys, broken_universal):
     assert "suite bialternants: FAIL" in out
     assert "  failed: o_even lam=(2, 1) n=2\n    lhs: " in out
     assert "\n    rhs: \n" not in out
-
-
-@pytest.fixture
-def narrow_monomial_slots(monkeypatch):
-    """Monomial keys packed in 4-bit slots (|exponent| < 8); every cache is
-    emptied around the test so that no key of either width outlives it."""
-    from spochar import clear_caches, ring
-
-    clear_caches()
-    monkeypatch.setattr(ring, "SLOT_BITS", 4)
-    yield
-    monkeypatch.undo()
-    clear_caches()
 
 
 def test_exponent_overflow_exits_2(capsys, narrow_monomial_slots):

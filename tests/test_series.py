@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from spochar import clear_caches
+from spochar import clear_caches, series
 
-from spochar.ring import ONE, ZERO, LaurentPoly, SlotOverflow, xvar, yvar, zvar
+from spochar.ring import ONE, ZERO, LaurentPoly, SlotOverflow, dot, xvar, yvar, zvar
 from spochar.series import (
     Z_MODES,
     HSpec,
-    _e_seq,
     _geom_factors,
     _geom_product,
     _stages,
@@ -68,10 +67,37 @@ def test_h_symmetry_under_x_inversion():
         assert inv == h
 
 
+# --- the Newton recurrence, against the expanded e-family ---
+
+
+def e_seq(m):
+    """(e_0, ..., e_m): elementary symmetric polynomials of -z_1^{-1}..-z_m^{-1}."""
+    series = [ONE]
+    for j in range(1, m + 1):
+        zj_inv = LaurentPoly.variable(zvar(j), -1)
+        series = [
+            (series[k] if k < j else ZERO) - (zj_inv * series[k - 1] if k else ZERO)
+            for k in range(j + 1)
+        ]
+    return series
+
+
+def newton_oracle(spec, N):
+    """Per degree k <= N: does h_k(plain) = sum_i e_i h_{k-i}(symmetric) hold,
+    with every e_i expanded and multiplied out by `dot`."""
+    hp = series.h_seq(HSpec(spec.n, spec.m, "plain"), N)
+    hs = series.h_seq(HSpec(spec.n, spec.m, "symmetric"), N)
+    es = e_seq(spec.m)
+    return [
+        hp[k] == dot((es[i], hs[k - i]) for i in range(min(spec.m, k) + 1))
+        for k in range(N + 1)
+    ]
+
+
 def test_e_sequences():
-    assert [e.text() for e in _e_seq(0)] == ["1"]
-    assert [e.text() for e in _e_seq(1)] == ["1", "-z1^-1"]
-    assert [e.text() for e in _e_seq(2)] == [
+    assert [e.text() for e in e_seq(0)] == ["1"]
+    assert [e.text() for e in e_seq(1)] == ["1", "-z1^-1"]
+    assert [e.text() for e in e_seq(2)] == [
         "1",
         "-z2^-1 - z1^-1",
         "z1^-1*z2^-1",
@@ -80,10 +106,64 @@ def test_e_sequences():
 
 def test_e_is_elementary_in_inverted_z():
     # degree k entry = (-1)^k e_k(z1^-1, ..., zm^-1)
-    es = _e_seq(3)
+    es = e_seq(3)
     zi = [LaurentPoly.variable(zvar(j), -1) for j in (1, 2, 3)]
     assert es[1] == LaurentPoly.constant(Fraction(-1)) * (zi[0] + zi[1] + zi[2])
     assert es[3] == LaurentPoly.constant(Fraction(-1)) * zi[0] * zi[1] * zi[2]
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("n", range(4))
+def test_check_newton_agrees_with_the_expanded_oracle(n, m):
+    spec = HSpec(n, m)
+    verdicts = newton_oracle(spec, 8)
+    assert all(verdicts)
+    for N in range(9):
+        assert check_newton(spec, N) is all(verdicts[: N + 1])
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_one_changed_symmetric_coefficient_fails_the_check(perturb_symmetric, m):
+    N = 6
+    for n in range(2):
+        spec = HSpec(n, m)
+        for k in range(1, N + 1):
+            perturb_symmetric(k)
+            # h_k enters degrees k..k+m, each times a nonzero e_i
+            assert newton_oracle(spec, N) == [not k <= i <= k + m for i in range(N + 1)]
+            assert check_newton(spec, N) is False
+            # the degrees below k never read the changed h_k
+            assert check_newton(spec, k - 1) is True
+
+
+def test_check_newton_changes_no_shared_table():
+    clear_caches()
+    specs = [HSpec(n, m) for n in range(3) for m in range(1, 4)]
+    for spec in specs:
+        h_seq(HSpec(spec.n, spec.m, "symmetric"), 7)
+    # every prefix of every symmetric factor list: the plain tables among them
+    tables = {
+        factors[:p]: _stages(factors[:p])
+        for factors in (_geom_factors(HSpec(s.n, s.m, "symmetric")) for s in specs)
+        for p in range(len(factors) + 1)
+    }
+    snapshot = {key: (list(table), [dict(d) for d in table]) for key, table in tables.items()}
+    for spec in specs:
+        for N in range(8):
+            assert check_newton(spec, N)
+    for key, table in tables.items():
+        dicts, copies = snapshot[key]
+        assert len(table) == len(dicts) and all(d is old for d, old in zip(table, dicts))
+        assert table == copies
+
+
+def test_check_newton_stays_inside_the_slot_bound(narrow_monomial_slots):
+    # 4-bit slots hold |exponent| <= 7: h_7's bound passes, h_8's is refused
+    for n in range(2):
+        for m in range(1, 4):
+            assert check_newton(HSpec(n, m), 7)
+            with pytest.raises(SlotOverflow, match="exponent bound 8 reaches the 4-bit"):
+                check_newton(HSpec(n, m), 8)
 
 
 def test_h_seq_y_is_plain_complete_homogeneous():
