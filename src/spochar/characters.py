@@ -4,6 +4,11 @@ Every character here is a determinant with entries drawn from the h-families
 of :mod:`spochar.series`.  The universal symplectic/orthogonal functions live
 in n paired variables x_i, x_i^{-1} and m plain variables z_j; skew variants
 take an inner partition whose declared length fixes the matrix dimension.
+The Jacobi-Trudi determinants (`_jt_det`) are expanded here, row by row from
+the last, and keep their minors for the next determinant over the same outer
+rows: the skew factors over every inner shape of one branching split, or
+every bra of one ket, then share what their columns have in common.  Only
+the alternants and Schur determinants go through `ring.det_of`.
 Closed bialternant forms (ratios of alternants) come back as the two sides of
 their multiplicative witness: instead of dividing, `bialternant` returns the
 numerator and denominator * character for the caller to compare, so
@@ -21,11 +26,13 @@ from typing import Sequence
 
 from .partitions import Partition, PartitionTooLong
 from .ring import (
+    DET_DIM_CAP,
     ONE,
     ZERO,
     DimensionCapExceeded,
     LaurentPoly,
     det_of,
+    dot,
     tvar,
     xvar,
     zvar,
@@ -38,6 +45,15 @@ SKEW_DIM_CAP = 8  # l + n + m
 
 def _h(hs: Sequence[LaurentPoly], k: int) -> LaurentPoly:
     return hs[k] if k >= 0 else ZERO
+
+
+@lru_cache(maxsize=1)
+def _minors(kind: str, n: int, m: int, alpha: tuple[int, ...]) -> tuple[dict, dict]:
+    """The column codes and minors that `_jt_det` shares between the
+    determinants of one outer row set: `kind` as passed, n, m and `alpha`
+    without trailing zeros (a padded row reads index 0).  One row set is
+    kept; a miss for another drops it, and `clear_caches` empties it."""
+    return {}, {}
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +77,17 @@ def _jt_det(
     over all n+m variables runs exactly to the largest index an entry reads:
     h_k has O(k^(2n+m-1)) terms, and slack would grow the one table that
     every length shares past anything an entry reads.
+
+    The determinant is expanded along its last row, and each minor along
+    its own last row, so a minor spans rows 1..r.  Entry (i, j) depends
+    only on (kind, n, m, i, alpha_i, l, j, beta_j), so a minor is fixed by
+    the outer row set and the (l, j, beta_j) of its r columns.  Each such
+    column (with the dimension its entries were built for) gets one bit in
+    the row set's `_minors` memo, a minor is keyed by the sum of its
+    columns' bits, and the determinants of one outer row set (every inner
+    shape of a branching split, every bra of one ket) reuse each other's
+    columns and minors.  The memo holds one row set: a miss for another
+    drops it, and `clear_caches` empties it.
     """
     dim = len(alpha)
     if dim == 0:
@@ -76,25 +103,61 @@ def _jt_det(
     hs = h_seq(HSpec(n, m, "plain"), N)
     if kind == "sp_hprime":
         hs = [hs[k] - hs[k - 2] if k > 1 else hs[k] for k in range(N + 1)]
-        kind = "sp"
+    # det_of's cap, checked where det_of checked it: after the table request
+    if dim > DET_DIM_CAP:
+        raise DimensionCapExceeded(f"dimension {dim} > cap {DET_DIM_CAP}")
+    top = dim
+    while top and not alpha[top - 1]:
+        top -= 1
+    codes, minors = _minors(kind, n, m, alpha[:top])
     # entry (i, j) is h_{a_i - b_j + j} plus or minus h_{a_i - j + c} from
     # column `first` on, with a_i = alpha_i - i; a negative index reads zero
-    sp = kind == "sp"
+    # and h_0 is the shared ONE (sp_hprime has the symplectic shape over h')
+    sp = kind != "o"
     first, c = (l + 2, 2 * l + 2) if sp else (l + 1, 2 * l)
-    rows = []
-    for i in range(1, dim + 1):
-        a = alpha[i - 1] - i
-        row = []
-        for j in range(1, dim + 1):
-            k = a - beta[j - 1] + j
-            e = hs[k] if k >= 0 else ZERO
-            k = a - j + c
-            if j >= first and k >= 0:
-                h = hs[k] if sp else -hs[k]
-                e = e + h if e else h
-            row.append(e)
-        rows.append(row)
-    return det_of(rows)
+    cols = []
+    key = 0
+    for j, b in enumerate(beta, 1):
+        got = codes.get((dim, l, j, b))
+        if got is None:
+            column = []
+            for i, a in enumerate(alpha, 1):
+                k = a - i - b + j
+                e = hs[k] if k > 0 else ONE if k == 0 else ZERO
+                k = a - i - j + c
+                if j >= first and k >= 0:
+                    h = hs[k] if sp else -hs[k]
+                    e = e + h if e else h
+                column.append(e)
+            got = codes[dim, l, j, b] = (1 << len(codes), column)
+        cols.append(got)
+        key += got[0]
+    return _minor(minors, tuple(cols), key)
+
+
+def _minor(minors: dict, cols: tuple, key: int) -> LaurentPoly:
+    """The minor over rows 1..len(cols) and the columns `cols`, each a (bit,
+    entries by row) pair in column order; `key` is the sum of their bits."""
+    r = len(cols) - 1
+    if not r:
+        return cols[0][1][0]
+    pairs = []
+    for p, (bit, column) in enumerate(cols):
+        e = column[r]
+        if e:
+            sub = minors.get(key - bit)
+            if sub is None:
+                sub = _minor(minors, cols[:p] + cols[p + 1 :], key - bit)
+            if sub:
+                # an entry is a row's h, most often smaller than the minor
+                pairs.append((-e if (r + p) & 1 else e, sub))
+    if len(pairs) == 1 and pairs[0][0] is ONE:
+        # a unit row, as every padded row of a branching skew factor is
+        got = pairs[0][1]
+    else:
+        got = dot(pairs)
+    minors[key] = got
+    return got
 
 
 def _check_counts(n: int, m: int) -> None:

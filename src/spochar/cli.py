@@ -184,7 +184,7 @@ def _cmd_fock(args) -> int:
 
 def _cmd_newton(args) -> int:
     _require(args, ["n", "m", "N"])
-    ok = check_newton(HSpec(args.n, args.m, "plain"), args.N)
+    ok = check_newton(HSpec(args.n, args.m, "plain"), args.N) is None
     payload = {
         "n": args.n,
         "m": args.m,

@@ -456,7 +456,10 @@ DET_DIM_CAP = 10  # largest dimension `det_of` expands
 
 
 def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by cofactor expansion memoized on column subsets."""
+    """Determinant by cofactor expansion memoized on column subsets, the
+    memo living for one call.  It serves the alternants and Schur
+    determinants of `characters`; the Jacobi-Trudi determinants expand
+    themselves there (`characters._jt_det`), sharing minors across calls."""
     n = len(rows)
     if n == 0 or len(rows[0]) == 0:
         raise ValueError("matrix dimensions must be positive")

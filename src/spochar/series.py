@@ -13,13 +13,13 @@ per-degree dicts (see `_grown`).  The symmetric series times
 E(w) = prod_j (1 - z_j^{-1} w), whose coefficients are the elementary
 symmetric polynomials of the -z_j^{-1}, is the plain series: each factor
 cancels a 1/(1 - z_j^{-1} w), as H(t)E(-t) = 1 does for one alphabet.
-`check_newton` verifies this one unit factor at a time and never expands E.
+`newton_sides` applies E one unit factor at a time and never expands it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .ring import LaurentPoly, Monomial, _checked, _var_key, xvar, yvar, zvar
 
@@ -132,13 +132,13 @@ def h_seq_cauchy(spec: HSpec, k: int, N: int) -> list[LaurentPoly]:
     return list(_geom_product(letters, N))
 
 
-def check_newton(spec: HSpec, N: int) -> bool:
-    """Verify h_k(plain) = [w^k] prod_j (1 - z_j^{-1} w) * H(symmetric) for k <= N.
+def newton_sides(spec: HSpec, N: int) -> Iterator[tuple[int, LaurentPoly, LaurentPoly]]:
+    """(k, plain h_k, [w^k] prod_j (1 - z_j^{-1} w) * H(symmetric)) for k <= N.
 
     Factor j maps degree k of its input g to g_k - z_j^{-1} g_{k-1}, one key
     shift and one subtraction.  Degree k passes through every factor and is
-    compared with the plain h_k before degree k + 1, so each factor holds
-    only its input's previous degree.  The shared table dicts are only read.
+    yielded before degree k + 1 is built, so each factor holds only its
+    input's previous degree.  The shared table dicts are only read.
     """
     if spec.m < 1:
         raise ValueError("the recurrence needs at least one z variable")
@@ -163,6 +163,13 @@ def check_newton(spec: HSpec, N: int) -> bool:
                     del out[key]
             last[j] = g
             g = out
-        if g != hp[k]._terms:
-            return False
-    return True
+        yield k, hp[k], LaurentPoly(g, k)
+
+
+def check_newton(spec: HSpec, N: int) -> int | None:
+    """The first degree k <= N where h_k(plain) differs from
+    [w^k] prod_j (1 - z_j^{-1} w) * H(symmetric), or None if none does."""
+    for k, plain, product in newton_sides(spec, N):
+        if plain._terms != product._terms:
+            return k
+    return None

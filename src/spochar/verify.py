@@ -43,7 +43,7 @@ from .partitions import (
     subpartitions,
 )
 from .ring import ONE, ZERO, LaurentPoly, dot, xvar, yvar, zvar
-from .series import HSpec, check_newton
+from .series import HSpec, check_newton, newton_sides
 
 
 class _GridFields(NamedTuple):
@@ -324,8 +324,14 @@ def _run_branching(ses, fam, n_vals, m_vals, grid, tag: str) -> None:
                     for s in range(m + 1):
                         pairs = []
                         rename = renames[k, s]
-                        for eta, padded in etas:
-                            inner = universal_det(fam, eta.parts, n - k, m - s)
+                        # every inner character first, so that the skew
+                        # determinants below run back to back and share
+                        # the minors of their one outer shape
+                        inners = [
+                            (universal_det(fam, eta.parts, n - k, m - s), padded)
+                            for eta, padded in etas
+                        ]
+                        for inner, padded in inners:
                             if not inner:
                                 continue
                             piece = skew_det(fam, lam, padded, k, s)
@@ -584,12 +590,19 @@ def check_newton_suite(ses: _Session, grid: Grid) -> None:
     N = grid.degree_cap + 2
     for n in grid.ns:
         for m in range(max(1, grid.m_range[0]), grid.m_range[1] + 1):
-            if check_newton(HSpec(n, m, "plain"), N):
+            spec = HSpec(n, m, "plain")
+            k = check_newton(spec, N)
+            if k is None:
                 ses.ok()
-            else:
-                ses.fail(
-                    (n + m, n, m), f"newton n={n} m={m} N={N}", "recurrence mismatch", ""
-                )
+                continue
+            # both sides at the failing degree, the last that newton_sides yields
+            *_, (_, plain, product) = newton_sides(spec, k)
+            ses.fail(
+                (n + m, n, m),
+                f"newton n={n} m={m} N={N}",
+                f"degree {k}: plain h_{k} has {plain.term_count} terms",
+                f"degree {k}: product side has {product.term_count} terms",
+            )
 
 
 SUITES = {

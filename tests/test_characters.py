@@ -6,13 +6,14 @@ grids small enough to enumerate.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spochar import characters, series
+from spochar import characters, clear_caches, series
 from spochar.characters import (
     BIALTERNANT_KINDS,
     DimensionCapExceeded,
@@ -26,7 +27,8 @@ from spochar.characters import (
     universal_det,
 )
 from spochar.partitions import Partition, enumerate_partitions, interlaces, subpartitions
-from spochar.ring import ONE, ZERO, LaurentPoly, tvar, xvar, zvar
+from spochar.ring import ONE, ZERO, LaurentPoly, det_of, tvar, xvar, zvar
+from spochar.series import HSpec
 
 P = Partition
 MINUS = LaurentPoly.constant(Fraction(-1))
@@ -283,15 +285,88 @@ JT_CASES = {
 
 @pytest.mark.parametrize("case", JT_CASES.values(), ids=JT_CASES.keys())
 def test_jt_det_requests_exactly_the_h_table_it_reads(monkeypatch, case):
+    # no determinant, column or minor of an earlier call is left to reuse
     characters._jt_det.cache_clear()
+    characters._minors.cache_clear()
     calls = _patch_tables(monkeypatch)
     got = characters._jt_det(*case)
     [(N, reads)] = calls
     assert N == max([0, *reads])
-    # the same determinant over the longer table the engine used to request
+    # the same determinant over the longer table the engine used to request,
+    # recomputed: the minors of the first call are dropped too
     alpha = case[1]
-    _patch_tables(monkeypatch, length=max(max(alpha), 0) + 2 * len(alpha))
+    characters._minors.cache_clear()
+    calls = _patch_tables(monkeypatch, length=max(max(alpha), 0) + 2 * len(alpha))
     assert characters._jt_det.__wrapped__(*case) == got
+    assert [(N, reads)] == calls
+
+
+def _jt_oracle(kind, alpha, beta, l, n, m):
+    """det_of over the Jacobi-Trudi matrix, built entry by entry from the
+    formula in `_jt_det`'s docstring over a table longer than any index."""
+    dim = len(alpha)
+    if dim == 0:
+        return ONE
+    hs = series.h_seq(HSpec(n, m, "plain"), max(max(alpha), 0) + 2 * dim + 2)
+    if kind == "sp_hprime":
+        hs = [h - hs[k - 2] if k > 1 else h for k, h in enumerate(hs)]
+    sp = kind != "o"
+    first, c = (l + 2, 2 * l + 2) if sp else (l + 1, 2 * l)
+
+    def h(k):
+        return hs[k] if k >= 0 else ZERO
+
+    rows = []
+    for i, a in enumerate(alpha, 1):
+        row = []
+        for j, b in enumerate(beta, 1):
+            e = h(a - i - b + j)
+            if j >= first:
+                e = e + h(a - i - j + c) if sp else e - h(a - i - j + c)
+            row.append(e)
+        rows.append(row)
+    return det_of(rows)
+
+
+def _jt_draws():
+    """(kind, alpha, beta, l, n, m) cases over a few outer row sets, each met
+    by every kind, by several l at one dimension and by several inner rows."""
+    rng = random.Random(7)
+    cases = set()
+    for n, m in [(0, 1), (1, 0), (1, 1), (0, 2)]:
+        for parts in [(1,), (2, 1), (2, 2), (3, 1), (1, 1, 1), (3, 2, 1), (0, 2)]:
+            for pad in range(2):
+                alpha = parts + (0,) * pad
+                dim = len(alpha)
+                for _ in range(4):
+                    l = rng.randint(0, dim)
+                    beta = tuple(sorted((rng.randint(0, 2) for _ in range(dim)), reverse=True))
+                    for kind in ("sp", "o", "sp_hprime"):
+                        cases.add((kind, alpha, beta, l, n, m))
+    return sorted(cases)
+
+
+def test_shared_minors_match_a_fresh_determinant():
+    # minors are shared between the determinants of one outer row set; a
+    # memo that confused two kinds, or two values of l at one dimension,
+    # would hand one determinant another's minors
+    cases = _jt_draws()
+    want = {case: _jt_oracle(*case) for case in cases}
+    # one row set's calls back to back (over every l and padding of one
+    # kind, then over the kinds at one l), then interleaved, then from
+    # empty caches
+    by_l = sorted(cases, key=lambda c: (c[4], c[5], c[0], c[1], c[3]))
+    by_kind = sorted(cases, key=lambda c: (c[4], c[5], c[1], c[3], c[0]))
+    shuffled = list(cases)
+    random.Random(1).shuffle(shuffled)
+    reshuffled = list(cases)
+    random.Random(2).shuffle(reshuffled)
+    for order in (by_l, by_kind, shuffled, reshuffled):
+        if order is reshuffled:
+            clear_caches()
+        characters._jt_det.cache_clear()
+        for case in order:
+            assert characters._jt_det(*case) == want[case], case
 
 
 @pytest.mark.parametrize("parts", [(2, 1, 0), (0, 0), (3,), (1, 1, 1)])

@@ -17,6 +17,7 @@ from spochar.series import (
     check_newton,
     h_seq,
     h_seq_y,
+    newton_sides,
 )
 
 
@@ -112,6 +113,11 @@ def test_e_is_elementary_in_inverted_z():
     assert es[3] == LaurentPoly.constant(Fraction(-1)) * zi[0] * zi[1] * zi[2]
 
 
+def first_false(verdicts):
+    """The first degree whose verdict is False, or None."""
+    return next((k for k, ok in enumerate(verdicts) if not ok), None)
+
+
 @pytest.mark.parametrize("m", range(1, 4))
 @pytest.mark.parametrize("n", range(4))
 def test_check_newton_agrees_with_the_expanded_oracle(n, m):
@@ -119,7 +125,7 @@ def test_check_newton_agrees_with_the_expanded_oracle(n, m):
     verdicts = newton_oracle(spec, 8)
     assert all(verdicts)
     for N in range(9):
-        assert check_newton(spec, N) is all(verdicts[: N + 1])
+        assert check_newton(spec, N) == first_false(verdicts[: N + 1]) is None
 
 
 @pytest.mark.parametrize("m", range(1, 4))
@@ -131,9 +137,23 @@ def test_one_changed_symmetric_coefficient_fails_the_check(perturb_symmetric, m)
             perturb_symmetric(k)
             # h_k enters degrees k..k+m, each times a nonzero e_i
             assert newton_oracle(spec, N) == [not k <= i <= k + m for i in range(N + 1)]
-            assert check_newton(spec, N) is False
+            assert check_newton(spec, N) == first_false(newton_oracle(spec, N)) == k
             # the degrees below k never read the changed h_k
-            assert check_newton(spec, k - 1) is True
+            assert check_newton(spec, k - 1) is None
+
+
+@pytest.mark.parametrize("m", range(1, 3))
+def test_newton_sides_are_the_oracle_sides(m):
+    # the product side at degree k is sum_i e_i h_{k-i}(symmetric)
+    spec, N = HSpec(1, m), 5
+    hp = h_seq(spec, N)
+    hs = h_seq(HSpec(1, m, "symmetric"), N)
+    es = e_seq(m)
+    sides = list(newton_sides(spec, N))
+    assert [k for k, _, _ in sides] == list(range(N + 1))
+    for k, plain, product in sides:
+        assert plain == hp[k]
+        assert product == dot((es[i], hs[k - i]) for i in range(min(m, k) + 1))
 
 
 def test_check_newton_changes_no_shared_table():
@@ -150,7 +170,7 @@ def test_check_newton_changes_no_shared_table():
     snapshot = {key: (list(table), [dict(d) for d in table]) for key, table in tables.items()}
     for spec in specs:
         for N in range(8):
-            assert check_newton(spec, N)
+            assert check_newton(spec, N) is None
     for key, table in tables.items():
         dicts, copies = snapshot[key]
         assert len(table) == len(dicts) and all(d is old for d, old in zip(table, dicts))
@@ -161,7 +181,7 @@ def test_check_newton_stays_inside_the_slot_bound(narrow_monomial_slots):
     # 4-bit slots hold |exponent| <= 7: h_7's bound passes, h_8's is refused
     for n in range(2):
         for m in range(1, 4):
-            assert check_newton(HSpec(n, m), 7)
+            assert check_newton(HSpec(n, m), 7) is None
             with pytest.raises(SlotOverflow, match="exponent bound 8 reaches the 4-bit"):
                 check_newton(HSpec(n, m), 8)
 
@@ -176,9 +196,9 @@ def test_h_seq_y_is_plain_complete_homogeneous():
 
 
 def test_newton_identity_holds():
-    assert check_newton(HSpec(1, 1, "plain"), 4)
-    assert check_newton(HSpec(2, 2, "plain"), 6)
-    assert check_newton(HSpec(0, 2, "symmetric"), 5)
+    assert check_newton(HSpec(1, 1, "plain"), 4) is None
+    assert check_newton(HSpec(2, 2, "plain"), 6) is None
+    assert check_newton(HSpec(0, 2, "symmetric"), 5) is None
 
 
 def test_newton_needs_a_z_variable():

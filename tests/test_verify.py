@@ -395,3 +395,20 @@ def test_broken_commutation_report_is_pinned(monkeypatch, relations, digest):
     assert not rep.passed
     text = json.dumps(rep.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_newton_failure_names_the_degree_and_both_term_counts(perturb_symmetric):
+    # one coefficient of the symmetric h_3 changed: degree 3 is the first to
+    # fail, and its product side gains the one key that plain h_3 lacks
+    perturb_symmetric(3)
+    rep = run_suite("newton", Grid(n_range=(1, 1), m_range=(1, 2), degree_cap=2))
+    assert rep.instances_run == 2
+    plain = [series.h_seq(HSpec(1, m), 3)[3].term_count for m in (1, 2)]
+    assert rep.failures == [
+        (
+            f"newton n=1 m={m} N=4",
+            f"degree 3: plain h_3 has {count} terms",
+            f"degree 3: product side has {count + 1} terms",
+        )
+        for m, count in zip((1, 2), plain)
+    ]
