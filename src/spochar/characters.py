@@ -3,12 +3,14 @@
 Every character here is a determinant with entries drawn from the h-families
 of :mod:`spochar.series`.  The universal symplectic/orthogonal functions live
 in n paired variables x_i, x_i^{-1} and m plain variables z_j; skew variants
-take an inner partition whose declared length fixes the matrix dimension.
-The Jacobi-Trudi determinants (`_jt_det`) are expanded here, row by row from
-the last, and keep their minors for the next determinant over the same outer
-rows: the skew factors over every inner shape of one branching split, or
-every bra of one ket, then share what their columns have in common.  Only
-the alternants and Schur determinants go through `ring.det_of`.
+take an inner partition whose declared length l shapes the entries.  Every
+determinant is expanded by the one cofactor expansion `ring._minor`, row by
+row from the last.  The Jacobi-Trudi determinants (`_jt_det`) build their
+columns here and keep them, with their minors, for the next determinant over
+the same outer rows: the skew factors over every inner shape of one
+branching split, or every bra of one ket, then share what their columns have
+in common.  The alternants and Schur determinants go through `ring.det_of`,
+whose minors live for one call.
 Closed bialternant forms (ratios of alternants) come back as the two sides of
 their multiplicative witness: instead of dividing, `bialternant` returns the
 numerator and denominator * character for the caller to compare, so
@@ -31,8 +33,8 @@ from .ring import (
     ZERO,
     DimensionCapExceeded,
     LaurentPoly,
+    _minor,
     det_of,
-    dot,
     tvar,
     xvar,
     zvar,
@@ -40,7 +42,7 @@ from .ring import (
 from .series import HSpec, h_seq, h_seq_y
 
 UNIVERSAL_DIM_CAP = 6  # n + m
-SKEW_DIM_CAP = 8  # l + n + m
+SKEW_DIM_CAP = 8  # public input limit: l + n + m for `skew`, k for `schur`
 
 
 def _h(hs: Sequence[LaurentPoly], k: int) -> LaurentPoly:
@@ -68,26 +70,27 @@ def _jt_det(
     """Jacobi-Trudi style determinant shared by all h-based characters.
 
     `alpha` indexes the rows and `beta` the columns; the caller picks their
-    common length, which is the matrix dimension (l+n+m for skew characters,
-    the shape's own length for universal ones).  `alpha` may be an arbitrary
-    integer sequence (the determinant then vanishes or matches a straightened
-    character up to sign).  `kind` picks the entry shape: symplectic (second
-    term added from column l+2 on), orthogonal (second term subtracted from
-    column l+1 on), or symplectic over h'_k = h_k - h_{k-2}.  The h-table
-    over all n+m variables runs exactly to the largest index an entry reads:
-    h_k has O(k^(2n+m-1)) terms, and slack would grow the one table that
-    every length shares past anything an entry reads.
+    common length, which is the matrix dimension (max(l, outer length) for
+    skew characters, the shape's own length for universal ones).  `alpha`
+    may be an arbitrary integer sequence (the determinant then vanishes or
+    matches a straightened character up to sign).  `kind` picks the entry
+    shape: symplectic (second term added from column l+2 on), orthogonal
+    (second term subtracted from column l+1 on), or symplectic over
+    h'_k = h_k - h_{k-2}.  The h-table over all n+m variables runs exactly
+    to the largest index an entry reads: h_k has O(k^(2n+m-1)) terms, and
+    slack would grow the one table that every length shares past anything
+    an entry reads.
 
-    The determinant is expanded along its last row, and each minor along
-    its own last row, so a minor spans rows 1..r.  Entry (i, j) depends
-    only on (kind, n, m, i, alpha_i, l, j, beta_j), so a minor is fixed by
-    the outer row set and the (l, j, beta_j) of its r columns.  Each such
-    column (with the dimension its entries were built for) gets one bit in
-    the row set's `_minors` memo, a minor is keyed by the sum of its
-    columns' bits, and the determinants of one outer row set (every inner
-    shape of a branching split, every bra of one ket) reuse each other's
-    columns and minors.  The memo holds one row set: a miss for another
-    drops it, and `clear_caches` empties it.
+    `ring._minor` expands the determinant along its last row, and each
+    minor along its own last row, so a minor spans rows 1..r.  Entry (i, j)
+    depends only on (kind, n, m, i, alpha_i, l, j, beta_j), so a minor is
+    fixed by the outer row set and the (l, j, beta_j) of its r columns.
+    Each such column (with the dimension its entries were built for) gets
+    one bit in the row set's `_minors` memo, a minor is keyed by the sum of
+    its columns' bits, and the determinants of one outer row set (every
+    inner shape of a branching split, every bra of one ket) reuse each
+    other's columns and minors.  The memo holds one row set: a miss for
+    another drops it, and `clear_caches` empties it.
     """
     dim = len(alpha)
     if dim == 0:
@@ -103,7 +106,7 @@ def _jt_det(
     hs = h_seq(HSpec(n, m, "plain"), N)
     if kind == "sp_hprime":
         hs = [hs[k] - hs[k - 2] if k > 1 else hs[k] for k in range(N + 1)]
-    # det_of's cap, checked where det_of checked it: after the table request
+    # det_of's cap and message, checked after the table request
     if dim > DET_DIM_CAP:
         raise DimensionCapExceeded(f"dimension {dim} > cap {DET_DIM_CAP}")
     top = dim
@@ -133,31 +136,6 @@ def _jt_det(
         cols.append(got)
         key += got[0]
     return _minor(minors, tuple(cols), key)
-
-
-def _minor(minors: dict, cols: tuple, key: int) -> LaurentPoly:
-    """The minor over rows 1..len(cols) and the columns `cols`, each a (bit,
-    entries by row) pair in column order; `key` is the sum of their bits."""
-    r = len(cols) - 1
-    if not r:
-        return cols[0][1][0]
-    pairs = []
-    for p, (bit, column) in enumerate(cols):
-        e = column[r]
-        if e:
-            sub = minors.get(key - bit)
-            if sub is None:
-                sub = _minor(minors, cols[:p] + cols[p + 1 :], key - bit)
-            if sub:
-                # an entry is a row's h, most often smaller than the minor
-                pairs.append((-e if (r + p) & 1 else e, sub))
-    if len(pairs) == 1 and pairs[0][0] is ONE:
-        # a unit row, as every padded row of a branching skew factor is
-        got = pairs[0][1]
-    else:
-        got = dot(pairs)
-    minors[key] = got
-    return got
 
 
 def _check_counts(n: int, m: int) -> None:
@@ -198,26 +176,31 @@ def universal_det(family: str, seq: Sequence[int], n: int, m: int) -> LaurentPol
 def skew(family: str, outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
     """Skew universal character of either family; zero unless inner fits in outer."""
     _check_counts(n, m)
-    dim = inner.declared_len + n + m
-    if dim > SKEW_DIM_CAP:
-        raise DimensionCapExceeded(f"l + n + m = {dim} > {SKEW_DIM_CAP}")
+    size = inner.declared_len + n + m
+    if size > SKEW_DIM_CAP:
+        raise DimensionCapExceeded(f"l + n + m = {size} > {SKEW_DIM_CAP}")
     return skew_det(family, outer, inner, n, m).require_integer()
 
 
 def skew_det(family: str, outer: Partition, inner: Partition, n: int, m: int) -> LaurentPoly:
-    """Skew determinant without the public dimension cap.
+    """Skew determinant without the public input cap.
 
-    The inner shape's declared length fixes the bra padding; the matrix has
-    declared + n + m rows.  Branching sums need inner shapes declared as long
-    as the outer partition, which can push past the public cap.
+    The outer shape must fit in l + n + m rows, l the inner shape's declared
+    length, but the matrix has d = max(l, outer length) rows.  A row i > d
+    that padding to l + n + m would add reads a negative index in the first
+    l columns, h_{j-i} beyond them, and no second term, so the padded
+    matrix is block upper triangular over a unit upper-triangular block (as
+    in `universal_det`) and has the same determinant.  Branching sums need
+    inner shapes declared as long as the outer partition, which can push
+    past the public cap.
     """
     if family not in ("sp", "o"):
         raise ValueError("family must be 'sp' or 'o'")
     l = inner.declared_len
-    dim = l + n + m
-    if outer.length > dim:
-        raise PartitionTooLong(f"{outer.parts} needs more than {dim} rows")
-    return _jt_det(family, outer.padded(dim), inner.padded(dim), l, n, m)
+    if outer.length > l + n + m:
+        raise PartitionTooLong(f"{outer.parts} needs more than {l + n + m} rows")
+    d = max(l, outer.length)
+    return _jt_det(family, outer.padded(d), inner.padded(d), l, n, m)
 
 
 @lru_cache(maxsize=None)

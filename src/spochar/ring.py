@@ -456,10 +456,10 @@ DET_DIM_CAP = 10  # largest dimension `det_of` expands
 
 
 def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by cofactor expansion memoized on column subsets, the
+    """Determinant of a square matrix by `_minor`'s cofactor expansion, the
     memo living for one call.  It serves the alternants and Schur
-    determinants of `characters`; the Jacobi-Trudi determinants expand
-    themselves there (`characters._jt_det`), sharing minors across calls."""
+    determinants of `characters`; `characters._jt_det` calls `_minor`
+    itself, with a memo shared across calls."""
     n = len(rows)
     if n == 0 or len(rows[0]) == 0:
         raise ValueError("matrix dimensions must be positive")
@@ -470,49 +470,38 @@ def det_of(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         raise NonSquareMatrix(f"{n} x {cols}")
     if n > DET_DIM_CAP:
         raise DimensionCapExceeded(f"dimension {n} > cap {DET_DIM_CAP}")
-    # an entry, or the one product sum the expansion below would make
-    if n == 1:
-        return rows[0][0] or ZERO
-    if n == 2:
-        (a, b), (c, d) = rows
-        return dot(((a, d), (b, -c)))
-    # expand sparse rows first; track the row-permutation sign
-    order = sorted(range(n), key=lambda i: sum(1 for e in rows[i] if e))
-    sign = _permutation_sign(order)
-    rows = [rows[i] for i in order]
-    memo: dict[int, LaurentPoly] = {}
-
-    def minor(mask: int) -> LaurentPoly:
-        if mask == 0:
-            return ONE
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        row = rows[n - mask.bit_count()]
-        if not mask & (mask - 1):  # one column left: the minor is its entry
-            return row[mask.bit_length() - 1] or ZERO
-        pairs = []
-        s = 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            entry = row[low.bit_length() - 1]
-            if entry:
-                sub = minor(mask ^ low)
-                pairs.append((entry, sub if s > 0 else -sub))
-            s = -s
-            rest ^= low
-        memo[mask] = acc = dot(pairs)
-        return acc
-
-    result = minor((1 << n) - 1)
-    return result if sign > 0 else -result
+    columns = tuple((1 << j, [row[j] for row in rows]) for j in range(n))
+    return _minor({}, columns, (1 << n) - 1)
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+def _minor(minors: dict, cols: tuple, key: int) -> LaurentPoly:
+    """The minor over rows 1..len(cols) and the columns `cols`, each a (bit,
+    entries by row) pair in column order; `key` is the sum of their bits.
+
+    It expands along its last row, and each sub-minor along its own last
+    row, so every minor spans rows 1..r and is fixed by its columns.
+    `minors` maps a key to its minor; a caller may keep it across matrices
+    whose equal columns carry equal bits.  A single column's minor is its
+    entry."""
+    r = len(cols) - 1
+    if not r:
+        return cols[0][1][0] or ZERO
+    pairs = []
+    for p, (bit, column) in enumerate(cols):
+        e = column[r]
+        if e:
+            sub = minors.get(key - bit)
+            if sub is None:
+                sub = _minor(minors, cols[:p] + cols[p + 1 :], key - bit)
+            if sub:
+                # negate the entry, most often smaller than the minor
+                pairs.append((-e if (r + p) & 1 else e, sub))
+    if len(pairs) == 1 and pairs[0][0] is ONE:
+        # a unit row passes its minor on without a product: a Jacobi-Trudi
+        # or Schur row whose outer and inner parts are equal (a padded zero
+        # row among them), once the columns right of its diagonal are taken
+        got = pairs[0][1]
+    else:
+        got = dot(pairs)
+    minors[key] = got
+    return got

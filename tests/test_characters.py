@@ -27,7 +27,7 @@ from spochar.characters import (
     universal_det,
 )
 from spochar.partitions import Partition, enumerate_partitions, interlaces, subpartitions
-from spochar.ring import ONE, ZERO, LaurentPoly, det_of, tvar, xvar, zvar
+from spochar.ring import ONE, ZERO, LaurentPoly, tvar, xvar, zvar
 from spochar.series import HSpec
 
 P = Partition
@@ -301,9 +301,24 @@ def test_jt_det_requests_exactly_the_h_table_it_reads(monkeypatch, case):
     assert [(N, reads)] == calls
 
 
+def _permutation_det(rows):
+    """Permutation-sum determinant: slow, but shares nothing with the
+    cofactor expansion that every determinant of the package goes through."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(rows))):
+        prod = ONE
+        for row, j in zip(rows, perm):
+            prod = prod * row[j] if prod else prod
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) & 1:
+            prod = -prod
+        total = total + prod
+    return total
+
+
 def _jt_oracle(kind, alpha, beta, l, n, m):
-    """det_of over the Jacobi-Trudi matrix, built entry by entry from the
-    formula in `_jt_det`'s docstring over a table longer than any index."""
+    """The permutation sum over the Jacobi-Trudi matrix, built entry by
+    entry from the formula in `_jt_det`'s docstring over a table longer than
+    any index."""
     dim = len(alpha)
     if dim == 0:
         return ONE
@@ -325,7 +340,7 @@ def _jt_oracle(kind, alpha, beta, l, n, m):
                 e = e + h(a - i - j + c) if sp else e - h(a - i - j + c)
             row.append(e)
         rows.append(row)
-    return det_of(rows)
+    return _permutation_det(rows)
 
 
 def _jt_draws():
@@ -367,6 +382,27 @@ def test_shared_minors_match_a_fresh_determinant():
         characters._jt_det.cache_clear()
         for case in order:
             assert characters._jt_det(*case) == want[case], case
+
+
+@pytest.mark.parametrize("family", ["sp", "o"])
+def test_skew_det_is_the_determinant_padded_to_l_plus_n_plus_m(family):
+    # skew_det expands max(l, len(outer)) rows; the rows down to l + n + m
+    # that it leaves out must not change the value, also where the inner
+    # shape is declared longer than the outer one, and whether or not the
+    # inner shape fits in the outer one
+    for n, m in [(1, 0), (0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (0, 3)]:
+        for outer in [P(()), P((1,)), P((2,)), P((1, 1)), P((2, 1)), P((3, 1))]:
+            for l in range(outer.length + 1, outer.length + 3):
+                size = l + n + m
+                if size > 5:
+                    continue
+                for inner in enumerate_partitions(l, 2):
+                    inner = inner.with_declared(l)
+                    want = _jt_oracle(
+                        family, outer.padded(size), inner.padded(size), l, n, m
+                    )
+                    got = skew_det(family, outer, inner, n, m)
+                    assert got == want, (outer.parts, inner.parts, l, n, m)
 
 
 @pytest.mark.parametrize("parts", [(2, 1, 0), (0, 0), (3,), (1, 1, 1)])

@@ -351,6 +351,16 @@ def test_an_oversized_cauchy_cap_exits_2_before_enumerating(capsys, suite):
     assert err == f"error: suite {suite}: exponent bound 40000 reaches the 16-bit monomial slot\n"
 
 
+@pytest.mark.parametrize("suite", ["branching_sp", "branching_o"])
+def test_branching_over_three_plus_three_variables_passes(capsys, suite):
+    # a skew factor has max(l, len(lam)) rows, not l + n + m: at n = m = 3
+    # and weight 5 the padded matrices reached 11 rows, past det_of's cap
+    grid = '{"n_range": [3, 3], "m_range": [3, 3], "max_weight": 5}'
+    code, out = run(capsys, "verify", "--suite", suite, "--grid", grid)
+    assert code == 0
+    assert out == f"suite {suite}: PASS (304 instances, 0 failures)\n"
+
+
 def test_a_usage_error_mid_suite_names_the_suite(capsys):
     # n + m reaches 7 first in branching_sp; the suites before it pass
     grid = '{"n_range": [0, 5], "max_weight": 1}'
